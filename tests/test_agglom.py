@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sensecluster import agglom
 from sensecluster.agglom import ClusterResult, mcquitty, merge_trace, ward
 from sensecluster.dissim import DissimilarityMatrix
 
@@ -297,6 +298,27 @@ class TestTies:
         assert len(seen) == 2
 
 
+class TestTiesDrawn:
+    def test_zero_on_tie_free_inputs(self):
+        points, _ = random_tie_free_points(3)
+        cells, _ = random_tie_free_matrix(3)
+        assert ward(points, k=1, seed=0).ties_drawn == 0
+        assert mcquitty(DissimilarityMatrix(cells), k=1, seed=0).ties_drawn == 0
+
+    def test_counts_each_drawing_step(self):
+        # four identical points: every pair ties at zero until two
+        # clusters remain, so the first two of the three merges draw
+        assert ward(np.zeros((4, 2)), k=1, seed=0).ties_drawn == 2
+
+    def test_mcquitty_tie_fixture_draws_once(self):
+        cells = np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+        assert mcquitty(DissimilarityMatrix(cells), k=2, seed=0).ties_drawn == 1
+
+    def test_existing_constructors_default_to_zero(self):
+        result = ClusterResult(np.zeros(3), (), 1)
+        assert result.ties_drawn == 0
+
+
 class TestTrace:
     def test_trace_lists_members_and_values(self):
         d = DissimilarityMatrix(REFERENCE_MISMATCHES)
@@ -310,3 +332,36 @@ class TestTrace:
     def test_trace_empty_when_no_merges(self):
         d = DissimilarityMatrix(REFERENCE_MISMATCHES)
         assert merge_trace(mcquitty(d, k=4, seed=0)) == ""
+
+
+# ---------------------------------------------------------------- cached pick path
+
+@pytest.fixture
+def cache_every_merge(monkeypatch):
+    """Pick from the row-minimum cache down to two clusters, then scan."""
+    monkeypatch.setattr(agglom, "CACHE_ABOVE", 2)
+
+
+@pytest.mark.usefixtures("cache_every_merge")
+class TestWardCached(TestWard):
+    """The Ward oracle tests again, with both pick paths running."""
+
+
+@pytest.mark.usefixtures("cache_every_merge")
+class TestMcQuittyCached(TestMcQuitty):
+    """The McQuitty oracle tests again, with both pick paths running."""
+
+
+@pytest.mark.usefixtures("cache_every_merge")
+class TestCommonCached(TestCommon):
+    """Seed and partition behaviour again, with both pick paths running."""
+
+
+@pytest.mark.usefixtures("cache_every_merge")
+class TestTiesCached(TestTies):
+    """Tie draws again, with both pick paths running."""
+
+
+@pytest.mark.usefixtures("cache_every_merge")
+class TestTiesDrawnCached(TestTiesDrawn):
+    """Tie counts again, with both pick paths running."""
