@@ -334,6 +334,29 @@ class TestTrace:
         assert merge_trace(mcquitty(d, k=4, seed=0)) == ""
 
 
+class TestHalfSqDistances:
+    @staticmethod
+    def brute(points):
+        p = np.asarray(points, dtype=np.float64)
+        crit = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2) / 2.0
+        np.fill_diagonal(crit, np.inf)
+        return crit
+
+    @pytest.mark.parametrize("dims", [4, 5])
+    def test_integer_points_exact_at_float32_limit(self, dims):
+        # |x| <= 1023 bounds a squared distance by dims * 2046^2, just
+        # under 2^24 at 4 dimensions (float32 path) and over it at 5
+        # (float64 path); rows 0 and 1 reach an odd sum near that bound,
+        # which float32 could not hold above 2^24
+        rng = np.random.default_rng(dims)
+        points = rng.integers(-1023, 1024, size=(30, dims)).astype(np.float64)
+        points[0], points[1] = -1023.0, 1023.0
+        points[1, 0] = 1022.0
+        got = agglom._half_sq_distances(points)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, self.brute(points))
+
+
 # ---------------------------------------------------------------- cached pick path
 
 @pytest.fixture
