@@ -1,12 +1,15 @@
 """Config-driven experiment runner.
 
-For every combination of word, feature set and algorithm the runner
-executes a fixed number of independently seeded trials, maps each
-trial's clusters to the gold senses, and writes per-trial results, a
+The unit of work is one (word, feature set): its features and, when an
+agglomerative method is configured, its mismatch matrix are built once
+and shared by every configured algorithm. Each algorithm executes a
+fixed number of independently seeded trials, maps each trial's clusters
+to the gold senses, and the runner writes per-trial results, a
 mean-and-std table with per-category rollups, and confusion matrices
 for a designated trial. Trial seeds are derived from the master seed
-and the cell key, so every cell is reproducible in isolation and
-results are identical at any parallelism level.
+and the (word, set, algorithm, trial) key, so every cell is
+reproducible in isolation and results are identical at any parallelism
+level.
 """
 
 import configparser
@@ -14,10 +17,11 @@ import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from . import agglom, dissim, em
-from .corpus import load_corpus
+from .corpus import WordSample, load_corpus
 from .evaluate import (
     CATEGORY_ORDER,
     TrialReport,
@@ -53,16 +57,17 @@ class ExperimentConfig:
         self.algorithms = tuple(a.lower() for a in self.algorithms)
         if not self.corpora:
             raise ValueError("config names no corpora")
-        if not self.feature_sets:
-            raise ValueError("config names no feature sets")
-        if not self.algorithms:
-            raise ValueError("config names no algorithms")
-        for s in self.feature_sets:
-            if s not in FEATURE_SETS:
-                raise ValueError(f"unknown feature set {s!r}")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+        for kind, names, known in (
+            ("feature set", self.feature_sets, FEATURE_SETS),
+            ("algorithm", self.algorithms, ALGORITHMS),
+        ):
+            if not names:
+                raise ValueError(f"config names no {kind}s")
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
+            if len(set(names)) < len(names):
+                raise ValueError(f"duplicate {kind} in {' '.join(names)}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.report_trial < self.trials:
@@ -113,83 +118,73 @@ def trial_seed(master: int, word: str, set_id: str, algorithm: str, trial: int) 
 
 
 @dataclass
-class _CellTask:
-    word: str
-    corpus_path: str
-    set_id: str
-    algorithm: str
-    trials: int
-    master_seed: int
-    stopwords_path: str | None
-    em_max_iter: int
-    em_tol: float
-    dump_clusters: bool
-
-
-@dataclass
 class CellResult:
     word: str
     set_id: str
     algorithm: str
     reports: list = field(default_factory=list)
     assignments: list = field(default_factory=list)
-    n: int = 0
-    k: int = 0
     error: str | None = None
 
 
-def _run_cell(task: _CellTask) -> CellResult:
-    result = CellResult(task.word, task.set_id, task.algorithm)
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_unit(
+    config: ExperimentConfig, word: str, sample: WordSample, set_id: str
+) -> list[CellResult]:
+    """Run every configured algorithm on one (word, feature set), in config order.
+
+    A failure while building the shared features fails every cell; a
+    failure while building the mismatch matrix fails each agglomerative
+    cell; a failure in one algorithm's trials fails only its own cell.
+    """
+    cells = [CellResult(word, set_id, alg) for alg in config.algorithms]
     try:
-        sample = load_corpus(task.corpus_path)
-        stop = load_stopwords(task.stopwords_path) if task.stopwords_path else None
-        schema = build_schema(sample, task.set_id, stop)
-        matrix = extract(sample, schema)
-        result.n, result.k = sample.n, sample.k
+        stop = load_stopwords(config.stopwords_path) if config.stopwords_path else None
+        matrix = extract(sample, build_schema(sample, set_id, stop))
         have_gold = all(inst.gold_sense is not None for inst in sample.instances)
-        if not have_gold and not task.dump_clusters:
+        if not have_gold and not config.dump_clusters:
             raise ValueError(
                 "corpus has untagged instances; evaluation needs gold senses "
                 "(use --dump-clusters for the untagged workflow)"
             )
+    except Exception as exc:  # reported per cell; other units keep running
+        for cell in cells:
+            cell.error = _error_text(exc)
+        return cells
 
-        if task.algorithm in ("mcquitty", "ward"):
-            d = dissim.build(matrix)
-            points = dissim.row_vectors(d) if task.algorithm == "ward" else None
-        gold = [inst.gold_sense for inst in sample.instances]
-
-        for t in range(task.trials):
-            seed = trial_seed(task.master_seed, task.word, task.set_id, task.algorithm, t)
-            if task.algorithm == "mcquitty":
-                assignment = agglom.mcquitty(d, sample.k, seed).assignment
-            elif task.algorithm == "ward":
-                assignment = agglom.ward(points, sample.k, seed).assignment
-            else:
-                assignment = em.fit(
-                    matrix, sample.k, seed, task.em_max_iter, task.em_tol
-                ).assignment
-            if task.dump_clusters:
-                result.assignments.append(assignment)
-            if have_gold:
-                cm = confusion_from_labels(
-                    gold, assignment, sample.sense_inventory, sample.k
-                )
-                mapping, agreement = best_mapping(cm)
-                result.reports.append(
-                    TrialReport(
-                        task.word,
-                        task.set_id,
-                        task.algorithm,
-                        t,
-                        seed,
-                        agreement / sample.n,
-                        mapping,
-                        cm,
+    gold = [inst.gold_sense for inst in sample.instances]
+    d = None
+    for cell in cells:
+        alg = cell.algorithm
+        try:
+            if alg != "em" and d is None:
+                d = dissim.build(matrix)
+            # Ward's float64 copy of d lives only while Ward runs
+            points = dissim.row_vectors(d) if alg == "ward" else None
+            for t in range(config.trials):
+                seed = trial_seed(config.seed, word, set_id, alg, t)
+                if alg == "mcquitty":
+                    assignment = agglom.mcquitty(d, sample.k, seed).assignment
+                elif alg == "ward":
+                    assignment = agglom.ward(points, sample.k, seed).assignment
+                else:
+                    assignment = em.fit(
+                        matrix, sample.k, seed, config.em_max_iter, config.em_tol
+                    ).assignment
+                if config.dump_clusters:
+                    cell.assignments.append(assignment)
+                if have_gold:
+                    cm = confusion_from_labels(gold, assignment, sample.sense_inventory, sample.k)
+                    mapping, agreement = best_mapping(cm)
+                    cell.reports.append(
+                        TrialReport(word, set_id, alg, t, seed, agreement / sample.n, mapping, cm)
                     )
-                )
-    except Exception as exc:  # reported per cell; other cells keep running
-        result.error = f"{type(exc).__name__}: {exc}"
-    return result
+        except Exception as exc:  # reported per cell; other cells keep running
+            cell.error = _error_text(exc)
+    return cells
 
 
 def _fmt3(x: float) -> str:
@@ -304,34 +299,15 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
         try:
             samples[word] = load_corpus(path)
         except Exception as exc:
-            preload_errors[word] = f"{type(exc).__name__}: {exc}"
+            preload_errors[word] = _error_text(exc)
 
-    tasks = []
-    for word in config.corpora:
-        if word not in samples:
-            continue
-        for set_id in config.feature_sets:
-            for alg in config.algorithms:
-                tasks.append(
-                    _CellTask(
-                        word,
-                        config.corpora[word],
-                        set_id,
-                        alg,
-                        config.trials,
-                        config.seed,
-                        config.stopwords_path,
-                        config.em_max_iter,
-                        config.em_tol,
-                        config.dump_clusters,
-                    )
-                )
-
-    if jobs > 1 and len(tasks) > 1:
+    units = [(w, sample, s) for w, sample in samples.items() for s in config.feature_sets]
+    if jobs > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+            per_unit = list(pool.map(_run_unit, repeat(config), *zip(*units)))
     else:
-        cells = [_run_cell(task) for task in tasks]
+        per_unit = [_run_unit(config, *unit) for unit in units]
+    cells = [cell for unit_cells in per_unit for cell in unit_cells]
 
     failed = []
     for word, err in preload_errors.items():
@@ -345,10 +321,11 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
     for cell in cells:
         if cell.error is not None:
             continue
+        sample = samples[cell.word]
         for rep in cell.reports:
             results_lines.append(
                 f"{rep.word},{rep.feature_set},{rep.algorithm},{rep.trial},"
-                f"{rep.seed},{rep.accuracy!r},{cell.n},{cell.k}"
+                f"{rep.seed},{rep.accuracy!r},{sample.n},{sample.k}"
             )
         if cell.reports:
             agg = aggregate(cell.reports)

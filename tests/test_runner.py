@@ -1,7 +1,10 @@
 """Experiment runner: grid execution, outputs, determinism."""
 
+from collections import Counter
+
 import pytest
 
+from sensecluster import dissim, em, runner
 from sensecluster.corpus import save_corpus
 from sensecluster.runner import ExperimentConfig, load_config, run, trial_seed
 
@@ -46,6 +49,10 @@ class TestConfig:
             make_config(paths, tmp_path / "o", algorithms=("kmeans",))
         with pytest.raises(ValueError, match="corpora"):
             make_config({}, tmp_path / "o")
+        with pytest.raises(ValueError, match="duplicate feature set"):
+            make_config(paths, tmp_path / "o", feature_sets=("A", "a"))
+        with pytest.raises(ValueError, match="duplicate algorithm"):
+            make_config(paths, tmp_path / "o", algorithms=("em", "mcquitty", "EM"))
 
     def test_load_config_file(self, corpus_dir):
         base, paths = corpus_dir
@@ -189,11 +196,18 @@ class TestRun:
     def test_parallel_run_matches_serial(self, corpus_dir, tmp_path):
         _, paths = corpus_dir
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        config1 = make_config(paths, out1, algorithms=("mcquitty", "ward"))
-        config2 = make_config(paths, out2, algorithms=("mcquitty", "ward"))
-        run(config1, jobs=1)
-        run(config2, jobs=3)
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        grid = dict(
+            feature_sets=("A", "B"), algorithms=("mcquitty", "ward", "em"), em_max_iter=200
+        )
+        assert run(make_config(paths, out1, **grid), jobs=1) == 0
+        assert run(make_config(paths, out2, **grid), jobs=3) == 0
+        names = ["results.csv", "aggregates.csv", "summary.txt"]
+        confusion = sorted(p.name for p in (out1 / "confusion").iterdir())
+        assert len(confusion) == 2 * 2 * 3
+        assert confusion == sorted(p.name for p in (out2 / "confusion").iterdir())
+        names += [f"confusion/{name}" for name in confusion]
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_removing_a_word_leaves_others_unchanged(self, corpus_dir, tmp_path):
         _, paths = corpus_dir
@@ -234,9 +248,14 @@ class TestRun:
         path = tmp_path / "delta.jsonl"
         save_corpus(untagged, path)
 
-        status = run(make_config({"delta": str(path)}, tmp_path / "fail"))
-        assert status == 1
-        assert "untagged" in capsys.readouterr().err
+        algorithms = ("mcquitty", "ward", "em")
+        fail = make_config({"delta": str(path)}, tmp_path / "fail", algorithms=algorithms)
+        assert run(fail) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" failed:")[0] for line in err_lines] == [
+            f"cell (delta, A, {alg})" for alg in algorithms
+        ]
+        assert all("untagged" in line for line in err_lines)
 
         outdir = tmp_path / "ok"
         status = run(make_config({"delta": str(path)}, outdir, dump_clusters=True))
@@ -246,6 +265,70 @@ class TestRun:
         labels = dumped.read_text().split()
         assert len(labels) == 12
         assert set(labels) <= {"0", "1"}
+
+    @pytest.mark.parametrize(
+        "module, name, broken_algs",
+        [(em, "fit", ("em",)), (dissim, "build", ("mcquitty", "ward"))],
+        ids=["em.fit", "dissim.build"],
+    )
+    def test_failure_fails_only_the_cells_that_need_it(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, module, name, broken_algs
+    ):
+        _, paths = corpus_dir
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(module, name, broken)
+        outdir = tmp_path / "out"
+        algorithms = ("mcquitty", "em", "ward")
+        config = make_config(paths, outdir, feature_sets=("A", "B"), algorithms=algorithms)
+        assert run(config) == 1
+        grid = [(w, s, a) for w in ("alpha", "beta") for s in ("A", "B") for a in algorithms]
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell ({w}, {s}, {a}) failed: RuntimeError: broken"
+            for w, s, a in grid
+            if a in broken_algs
+        ]
+        rows = [row.split(",") for row in (outdir / "results.csv").read_text().split()[1:]]
+        kept = [cell for cell in grid if cell[2] not in broken_algs]
+        assert [tuple(row[:3]) for row in rows if row[3] == "0"] == kept
+        assert len(rows) == 2 * len(kept)
+        for alg in broken_algs:
+            assert not list((outdir / "confusion").glob(f"*_{alg}.txt"))
+
+    def test_shared_work_runs_once_per_word_and_set(self, corpus_dir, tmp_path, monkeypatch):
+        _, paths = corpus_dir
+        calls = Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("load_corpus", "build_schema", "extract"):
+            counting(runner, name)
+        counting(dissim, "build")
+
+        sets = ("A", "B", "C")
+        config = make_config(
+            paths, tmp_path / "all", feature_sets=sets, algorithms=("mcquitty", "ward", "em"),
+            em_max_iter=50,
+        )
+        assert run(config) == 0
+        units = len(paths) * len(sets)
+        assert calls == {
+            "load_corpus": len(paths), "build_schema": units, "extract": units, "build": units
+        }
+
+        calls.clear()
+        config = make_config(paths, tmp_path / "em", feature_sets=sets, algorithms=("em",))
+        assert run(config) == 0
+        assert calls == {"load_corpus": len(paths), "build_schema": units, "extract": units}
 
     def test_summary_table_layout(self, corpus_dir, tmp_path):
         _, paths = corpus_dir
