@@ -11,37 +11,78 @@ which the E-step turns into expected marginal counts; the M-step divides
 those counts by the sample size. Per-observation likelihoods are
 computed in log space, and every stored probability is floored at 1e-12
 and renormalized so no component can collapse to an undefined state.
+
+All joint tables, and all expected value counts, are held in one table
+with a row per (feature, value) pair and a column per class; feature j
+owns rows ``offsets[j]`` to ``offsets[j + 1]`` (``FeatureSchema.offsets``).
+``FeatureMatrix.table_rows`` maps every observed value to its row, so the
+E-step is one gather summed over features and the expected counts are one
+weighted ``np.bincount``. The normalizer follows scipy.special.logsumexp's
+formula, and every sum adds its terms in the same order as a table-per-
+feature implementation (kept in tests/reference_em.py), so the results
+match it bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .features import FeatureMatrix, FeatureSchema
 
 PROB_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+def _stack(tables, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One (sum of cardinalities, k) table from per-feature (k, cardinality)
+    tables, and the row offsets of each feature."""
+    blocks = []
+    for table in tables:
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != 2 or table.shape[0] != k:
+            raise ValueError("joint table shape does not match number of classes")
+        blocks.append(table.T)
+    offsets = np.cumsum([0] + [block.shape[0] for block in blocks])
+    return (np.concatenate(blocks) if blocks else np.empty((0, k))), offsets
+
+
+def _split(table: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-feature (k, cardinality) views of a stacked table."""
+    return tuple(table[a:b].T for a, b in zip(offsets[:-1], offsets[1:]))
+
+
+@dataclass(frozen=True, init=False)
 class NaiveBayesParams:
-    """Mixture weights and per-feature joint tables P(s, f_j = v)."""
+    """Mixture weights and the joint tables P(s, f_j = v).
+
+    ``table[offsets[j] + v, s]`` holds P(s, f_j = v); ``joints[j]`` is the
+    (k, cardinality) view of feature j's rows.
+    """
 
     priors: np.ndarray
-    joints: tuple[np.ndarray, ...]
+    table: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=np.float64)
+    def __init__(self, priors, joints):
+        priors = np.asarray(priors, dtype=np.float64)
+        table, offsets = _stack(joints, priors.size)
+        self._set(priors, table, offsets)
+
+    @classmethod
+    def from_table(cls, priors, table, offsets) -> "NaiveBayesParams":
+        params = cls.__new__(cls)
+        params._set(np.asarray(priors, dtype=np.float64), table, offsets)
+        return params
+
+    def _set(self, priors, table, offsets) -> None:
         priors.setflags(write=False)
+        table.setflags(write=False)
         object.__setattr__(self, "priors", priors)
-        joints = []
-        for table in self.joints:
-            table = np.asarray(table, dtype=np.float64)
-            table.setflags(write=False)
-            if table.ndim != 2 or table.shape[0] != priors.size:
-                raise ValueError("joint table shape does not match number of classes")
-            joints.append(table)
-        object.__setattr__(self, "joints", tuple(joints))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def joints(self) -> tuple[np.ndarray, ...]:
+        return _split(self.table, self.offsets)
 
     @property
     def k(self) -> int:
@@ -59,21 +100,46 @@ class NaiveBayesParams:
 
     def max_abs_diff(self, other: "NaiveBayesParams") -> float:
         delta = np.abs(self.priors - other.priors).max()
-        for a, b in zip(self.joints, other.joints):
-            delta = max(delta, np.abs(a - b).max())
-        return float(delta)
+        return float(np.abs(self.table - other.table).max(initial=delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExpectedCounts:
     """E-step output: expected class counts, per-feature marginal counts,
     the posterior matrix they were accumulated from, and the observed-data
-    log-likelihood of the parameters that produced them."""
+    log-likelihood of the parameters that produced them.
+
+    ``table`` is laid out as ``NaiveBayesParams.table``; ``value_counts[j]``
+    is the (k, cardinality) view of feature j's rows.
+    """
 
     sense_counts: np.ndarray
-    value_counts: tuple[np.ndarray, ...]
+    table: np.ndarray
+    offsets: np.ndarray
     posteriors: np.ndarray
     loglik: float
+
+    def __init__(self, sense_counts, value_counts, posteriors, loglik):
+        sense_counts = np.asarray(sense_counts, dtype=np.float64)
+        table, offsets = _stack(value_counts, sense_counts.size)
+        self._set(sense_counts, table, offsets, posteriors, loglik)
+
+    @classmethod
+    def from_table(cls, sense_counts, table, offsets, posteriors, loglik) -> "ExpectedCounts":
+        counts = cls.__new__(cls)
+        counts._set(sense_counts, table, offsets, posteriors, loglik)
+        return counts
+
+    def _set(self, sense_counts, table, offsets, posteriors, loglik) -> None:
+        object.__setattr__(self, "sense_counts", sense_counts)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "posteriors", posteriors)
+        object.__setattr__(self, "loglik", loglik)
+
+    @property
+    def value_counts(self) -> tuple[np.ndarray, ...]:
+        return _split(self.table, self.offsets)
 
 
 @dataclass(frozen=True)
@@ -87,26 +153,42 @@ class EmResult:
 
 
 def _accumulate(posteriors: np.ndarray, data: FeatureMatrix, loglik: float) -> ExpectedCounts:
-    vals = data.values
     k = posteriors.shape[1]
-    value_counts = []
-    for j, feat in enumerate(data.schema.features):
-        table = np.zeros((feat.cardinality, k))
-        np.add.at(table, vals[:, j], posteriors)
-        value_counts.append(table.T)
-    return ExpectedCounts(posteriors.sum(axis=0), tuple(value_counts), posteriors, loglik)
+    offsets = data.schema.offsets
+    # bin (row r, class s) is r * k + s; each bin sums its rows' posteriors
+    # in instance order, as a per-feature np.add.at would
+    index = (data.table_rows[:, :, None] * k + np.arange(k)).ravel()
+    weights = np.repeat(posteriors, data.q, axis=0).ravel()
+    table = np.bincount(index, weights, minlength=offsets[-1] * k).reshape(-1, k)
+    return ExpectedCounts.from_table(posteriors.sum(axis=0), table, offsets, posteriors, loglik)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_s exp(a[:, s]) per row, by scipy.special.logsumexp's formula.
+
+    The m entries equal to the row maximum are taken out of the sum; the
+    rest are shifted by the maximum, exponentiated and summed, and the
+    result is log1p(sum / m) + log(m) + max. A row that contains NaN or
+    has no finite maximum comes out non-finite.
+    """
+    top = a.max(axis=1, keepdims=True)
+    at_top = a == top
+    ties = at_top.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=1, keepdims=True) / ties
+        return (np.log1p(rest) + np.log(ties) + top)[:, 0]
 
 
 def _log_posterior(params: NaiveBayesParams, data: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized log P(s, y_n) per instance and its normalizer log P(y_n)."""
-    vals = data.values
-    n, q = vals.shape
+    n, q = data.values.shape
     log_joint = np.zeros((n, params.k))
     with np.errstate(divide="ignore"):
-        for j, table in enumerate(params.joints):
-            log_joint += np.log(table).T[vals[:, j]]
+        # one (n, k) slab per feature, added in feature order
+        for term in np.log(params.table).take(data.table_rows.T, axis=0):
+            log_joint += term
         log_joint -= (q - 1) * np.log(params.priors)
-    norms = logsumexp(log_joint, axis=1)
+    norms = _logsumexp_rows(log_joint)
     if not np.isfinite(norms).all():
         raise ValueError("degenerate likelihood")
     return log_joint, norms
@@ -127,11 +209,12 @@ def m_step(counts: ExpectedCounts, n: int) -> NaiveBayesParams:
         raise ValueError("expected class counts do not sum to the sample size")
     priors = np.maximum(counts.sense_counts / n, PROB_FLOOR)
     priors = priors / priors.sum()
-    joints = []
-    for table in counts.value_counts:
-        table = np.maximum(table / n, PROB_FLOOR)
-        joints.append(table / table.sum())
-    return NaiveBayesParams(priors, tuple(joints))
+    offsets = counts.offsets
+    table = np.maximum(counts.table / n, PROB_FLOOR)
+    # each feature's block sums on its own, exactly as a per-feature table would
+    sums = [table[a:b].sum() for a, b in zip(offsets[:-1], offsets[1:])]
+    table /= np.repeat(sums, np.diff(offsets))[:, None]
+    return NaiveBayesParams.from_table(priors, table, offsets)
 
 
 def initial_params(data: FeatureMatrix, k: int, rng) -> NaiveBayesParams:

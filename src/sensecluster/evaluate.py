@@ -2,22 +2,22 @@
 
 Discovered clusters carry no sense labels, so accuracy is measured after
 mapping clusters to senses in the way that maximizes agreement with the
-gold tags (exhaustive search over injective maps, exact for the small
-cluster counts used here). Also provided: the majority-class baseline,
+gold tags (an exact dynamic program over subsets of the larger index set,
+up to 12 senses or clusters). Also provided: the majority-class baseline,
 multi-trial mean/std aggregation, per-category rollups and a pooled
 two-sample t test for comparing algorithms.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
 
 import numpy as np
 from scipy.special import betainc
 
 from .corpus import WordSample, sense_distribution
 
-MAPPING_LIMIT = 8
+MAPPING_LIMIT = 12
 
 CATEGORY_ORDER = ("adjective", "noun", "verb")
 
@@ -66,8 +66,9 @@ def best_mapping(cm: ConfusionMatrix) -> tuple[dict[int, int], int]:
 
     The smaller of the two index sets is mapped into the larger; clusters
     left unmapped contribute no agreement. Among equally good maps the
-    lexicographically smallest assignment tuple wins. Exhaustive, so both
-    side sizes are capped at 8.
+    lexicographically smallest assignment tuple wins. Exact by dynamic
+    programming over the subsets of the larger side already used, so
+    both side sizes are capped at ``MAPPING_LIMIT``.
     """
     counts = cm.counts
     n_senses, n_clusters = counts.shape
@@ -76,21 +77,38 @@ def best_mapping(cm: ConfusionMatrix) -> tuple[dict[int, int], int]:
     if n_senses == 0 or n_clusters == 0:
         return {}, 0
 
-    best_map: dict[int, int] = {}
-    best_score = -1
-    if n_clusters <= n_senses:
-        for perm in permutations(range(n_senses), n_clusters):
-            score = sum(counts[perm[c], c] for c in range(n_clusters))
-            if score > best_score:
-                best_score = score
-                best_map = {c: perm[c] for c in range(n_clusters)}
-    else:
-        for perm in permutations(range(n_clusters), n_senses):
-            score = sum(counts[s, perm[s]] for s in range(n_senses))
-            if score > best_score:
-                best_score = score
-                best_map = {perm[s]: s for s in range(n_senses)}
-    return best_map, int(best_score)
+    # gain[p][t]: agreement of mapping position p of the smaller side to
+    # target t of the larger side
+    by_cluster = n_clusters <= n_senses
+    gain = (counts.T if by_cluster else counts).tolist()
+    targets = range(len(gain[0]))
+
+    @cache
+    def best_rest(used: int) -> int:
+        """Best agreement over the positions not yet mapped, when the first
+        popcount(used) positions have taken the targets in bit set ``used``."""
+        position = used.bit_count()
+        if position == len(gain):
+            return 0
+        row = gain[position]
+        return max(row[t] + best_rest(used | 1 << t) for t in targets if not used >> t & 1)
+
+    # forward read-out: at each position the smallest target that keeps
+    # the optimum, giving the lexicographically smallest optimal tuple
+    best = remaining = best_rest(0)
+    used = 0
+    chosen = []
+    for row in gain:
+        t = next(
+            t for t in targets
+            if not used >> t & 1 and row[t] + best_rest(used | 1 << t) == remaining
+        )
+        chosen.append(t)
+        remaining -= row[t]
+        used |= 1 << t
+    if by_cluster:
+        return dict(enumerate(chosen)), best
+    return {c: s for s, c in enumerate(chosen)}, best
 
 
 def majority_classifier(sample: WordSample) -> tuple[str, float]:

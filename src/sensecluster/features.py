@@ -24,6 +24,7 @@ file. Pronouns are deliberately kept as content words.
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,15 @@ class FeatureSchema:
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(f.cardinality for f in self.features)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each feature's values start in a table with one row per
+        (feature, value) pair, features in order; the last entry is the
+        table's row count (read-only, length q + 1)."""
+        offsets = np.cumsum((0,) + self.cardinalities)
+        offsets.setflags(write=False)
+        return offsets
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -157,6 +167,14 @@ class FeatureMatrix:
     @property
     def q(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def table_rows(self) -> np.ndarray:
+        """Each value shifted by its feature's ``schema.offsets`` entry: its
+        row in the one-row-per-(feature, value) table (read-only, n x q)."""
+        rows = self.values + self.schema.offsets[:-1]
+        rows.setflags(write=False)
+        return rows
 
     def decode_row(self, i) -> tuple[str, ...]:
         """Row i as alphabet strings."""

@@ -1,11 +1,15 @@
 """Cluster-to-sense mapping, baselines, aggregation and the t test."""
 
+import functools
 import math
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import linear_sum_assignment
 
 from sensecluster.corpus import WordSample
 from sensecluster.evaluate import (
@@ -45,6 +49,30 @@ THREE_SENSE_CASES = [
     ([[280, 3, 78], [240, 197, 63], [559, 0, 693]], 1170),
     ([[127, 230, 4], [134, 364, 2], [320, 124, 808]], 1299),
 ]
+
+
+@functools.cache
+def _injections(n_targets, n_positions):
+    """Every injective position-to-target tuple, in lexicographic order."""
+    return np.array(
+        list(permutations(range(n_targets), n_positions)), dtype=np.intp
+    ).reshape(-1, n_positions)
+
+
+def permutation_mapping(counts):
+    """The former exhaustive search: score every injective map in
+    lexicographic order and keep the first best one."""
+    counts = np.asarray(counts)
+    n_senses, n_clusters = counts.shape
+    if n_clusters <= n_senses:
+        perms = _injections(n_senses, n_clusters)
+        scores = counts[perms, np.arange(n_clusters)].sum(axis=1)
+        best = perms[scores.argmax()]
+        return {c: int(best[c]) for c in range(n_clusters)}, int(scores.max())
+    perms = _injections(n_clusters, n_senses)
+    scores = counts[np.arange(n_senses), perms].sum(axis=1)
+    best = perms[scores.argmax()]
+    return {int(best[s]): s for s in range(n_senses)}, int(scores.max())
 
 
 def mapping_oracle(counts):
@@ -109,9 +137,47 @@ class TestBestMapping:
         assert mapping == {0: 0, 1: 1}
 
     def test_rejects_oversized_inputs(self):
-        counts = np.ones((9, 2), dtype=int)
-        with pytest.raises(ValueError, match="at most 8"):
+        counts = np.ones((13, 2), dtype=int)
+        with pytest.raises(ValueError, match="at most 12"):
             best_mapping(cm(counts))
+
+    def test_matches_permutation_search(self):
+        """Map and agreement equal the exhaustive search's, ties included."""
+        rng = np.random.default_rng(11)
+        for i in range(3000):
+            if i % 3 == 0:
+                s = c = int(rng.integers(1, 9))
+            else:
+                s, c = (int(v) for v in rng.integers(1, 9, size=2))
+            counts = rng.integers(0, 4, size=(s, c))
+            mapping, agreement = best_mapping(cm(counts))
+            expected_map, expected = permutation_mapping(counts)
+            assert agreement == expected
+            assert list(mapping.items()) == list(expected_map.items()), counts
+
+    def test_beyond_eight_senses_matches_assignment_solver(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            s, c = (int(v) for v in rng.integers(9, 13, size=2))
+            counts = rng.integers(0, 20, size=(s, c))
+            mapping, agreement = best_mapping(cm(counts))
+            rows, cols = linear_sum_assignment(counts, maximize=True)
+            assert agreement == int(counts[rows, cols].sum())
+            assert len(set(mapping.values())) == len(mapping) == min(s, c)
+            assert agreement == sum(int(counts[sense, c]) for c, sense in mapping.items())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_agreement_invariant_under_relabelling(self, data):
+        s = data.draw(st.integers(1, 7), label="senses")
+        c = data.draw(st.integers(1, 7), label="clusters")
+        cells = st.lists(st.integers(0, 5), min_size=c, max_size=c)
+        counts = np.array(data.draw(st.lists(cells, min_size=s, max_size=s), label="counts"))
+        senses = data.draw(st.permutations(range(s)), label="sense order")
+        clusters = data.draw(st.permutations(range(c)), label="cluster order")
+        _, agreement = best_mapping(cm(counts))
+        assert best_mapping(cm(counts[senses]))[1] == agreement
+        assert best_mapping(cm(counts[:, clusters]))[1] == agreement
 
 
 class TestConfusionFromLabels:

@@ -2,13 +2,14 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sensecluster import dissim, em, runner
 from sensecluster.corpus import save_corpus
 from sensecluster.runner import ExperimentConfig, load_config, run, trial_seed
 
-from conftest import synth_sample
+from conftest import random_sample, synth_sample
 
 
 @pytest.fixture
@@ -329,6 +330,21 @@ class TestRun:
         config = make_config(paths, tmp_path / "em", feature_sets=sets, algorithms=("em",))
         assert run(config) == 0
         assert calls == {"load_corpus": len(paths), "build_schema": units, "extract": units}
+
+    def test_nine_sense_corpus_writes_its_results(self, tmp_path, capsys):
+        sample = random_sample(np.random.default_rng(9), n=45, n_senses=9)
+        path = tmp_path / "term.jsonl"
+        save_corpus(sample, path)
+        outdir = tmp_path / "out"
+        algorithms = ("mcquitty", "ward", "em")
+        config = make_config({"term": str(path)}, outdir, algorithms=algorithms, em_max_iter=50)
+        assert run(config) == 0
+        assert capsys.readouterr().err == ""
+        rows = [row.split(",") for row in (outdir / "results.csv").read_text().split()[1:]]
+        assert [(row[2], row[7]) for row in rows] == [(alg, "9") for alg in algorithms for _ in range(2)]
+        for alg in algorithms:
+            text = (outdir / "confusion" / f"term_A_{alg}.txt").read_text()
+            assert all(f"s{i}" in text for i in range(9))
 
     def test_summary_table_layout(self, corpus_dir, tmp_path):
         _, paths = corpus_dir
