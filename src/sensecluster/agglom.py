@@ -20,12 +20,16 @@ average, and for Ward
     c(IJ, K) = ((N_I+N_K) c(I,K) + (N_J+N_K) c(J,K) - N_K c(I,J)) / (N_I+N_J+N_K)
 
 starting from ||x_a - x_b||^2 / 2, so a merge costs O(m) for m active
-clusters instead of O(m N). For Ward these values only choose the
-merges. The criterion a Ward merge records is recomputed from exact
-cluster means and sizes, kept incrementally in O(N) per merge, with the
-formula above: the recurrence rounds differently in the last bits
-(841.3125000000001 against 841.3124999999998 in one case), which would
-change the six-digit merge trace.
+clusters instead of O(m N). For integer points, such as mismatch-count
+rows, that start is one matrix product, (||a||^2 + ||b||^2 - 2 a.b) / 2,
+exact in float64 (see ``_half_sq_distances``). For Ward these values
+only choose the merges. The criterion a Ward merge records is recomputed
+from exact cluster means and sizes with the formula above: the
+recurrence rounds differently in the last bits (841.3125000000001
+against 841.3124999999998 in one case), which would change the six-digit
+merge trace. A singleton's mean is its own point; a merged cluster's
+mean is computed in O(N) when it forms and kept under its cluster id
+until it merges again, so no N x N copy of the points is made.
 
 Both stop once k clusters remain. Pairs within 1e-9 of the minimum
 criterion count as tied and one is drawn uniformly with the seeded
@@ -59,6 +63,10 @@ TIE_TOL = 1e-9
 # 100 active clusters; at 150 the cache took 50-80 us against 80-120 us
 # for the scan, and at 300 65-90 us against 290-450 us.
 CACHE_ABOVE = 150
+
+# Rows of the criterion matrix gathered at once when tie counts are
+# recounted.
+TIE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -136,9 +144,13 @@ class _MinCache:
             self.thr = thr
             ties[:] = 0
             rows = np.flatnonzero(rowmin <= thr)
-            near = crit[rows, :m] <= thr
-            near &= np.arange(m) > rows[:, None]
-            ties[rows] = np.count_nonzero(near, axis=1)
+            # in blocks of rows: with dense ties every row can qualify,
+            # and one gather would copy the whole matrix
+            for start in range(0, rows.size, TIE_BLOCK):
+                block = rows[start : start + TIE_BLOCK]
+                near = crit[block, :m] <= thr
+                near &= np.arange(m) > block[:, None]
+                ties[block] = np.count_nonzero(near, axis=1)
         cum = np.cumsum(ties)
         total = int(cum[-1])
         r = int(rng.integers(total)) if total > 1 else 0
@@ -208,10 +220,12 @@ def _drop_cluster(crit, ids, members, j, m):
 def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
     """Merge the clusters of an n x n criterion matrix (inf diagonal) down to k.
 
-    ``merge(i, j, m)`` is called for the chosen active slots i < j of m.
-    It returns the criterion to record and a fresh array of the merged
-    cluster's criteria against all m slots (entries i and j ignored), and
-    keeps the method's own per-slot state, moving slot m-1 into j.
+    ``merge(i, j, m, left, right, new)`` is called for the chosen active
+    slots i < j of m, which hold clusters ``left`` and ``right``; the
+    merged cluster gets id ``new``. It returns the criterion to record and
+    a fresh array of the merged cluster's criteria against all m slots
+    (entries i and j ignored), and keeps the method's own per-slot state,
+    moving slot m-1 into j.
     """
     n = crit.shape[0]
     rng = np.random.default_rng(seed)
@@ -229,10 +243,11 @@ def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
         else:
             i, j, drew = _pick_min_pair(crit[:m, :m], rng)
         drawn += drew
-        value, row = merge(i, j, m)
+        new = n + step
+        value, row = merge(i, j, m, ids[i], ids[j], new)
         merges.append(Merge(ids[i], ids[j], value))
         members[i] = members[i] + members[j]
-        ids[i] = n + step
+        ids[i] = new
         if cached:
             stale = cache.retire(i, j, m, row)
 
@@ -251,22 +266,43 @@ def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
     return _finish(n, members, merges, k, drawn)
 
 
+def _gram_is_exact(pts: np.ndarray) -> bool:
+    """Whether every partial sum of the Gram-product distances is an
+    integer below 2^53: integer points with dim * (2 max|x|)^2 < 2^53."""
+    span = 2.0 * float(np.abs(pts).max()) if pts.size else 0.0
+    return pts.shape[1] * span * span < 2.0**53 and np.array_equal(pts, np.rint(pts))
+
+
+def _gram_half_sq_distances(pts: np.ndarray) -> np.ndarray:
+    """(||a||^2 + ||b||^2 - 2 a.b) / 2 for every pair, built in place in
+    one N x N array, inf on the diagonal."""
+    sq = np.einsum("ij,ij->i", pts, pts)
+    crit = pts @ pts.T
+    crit *= -2.0
+    crit += sq[:, None]
+    crit += sq
+    crit /= 2.0
+    np.fill_diagonal(crit, np.inf)
+    return crit
+
+
 def _half_sq_distances(pts: np.ndarray) -> np.ndarray:
     """||x_a - x_b||^2 / 2 for every pair, inf on the diagonal.
 
-    One row of differences at a time over the upper triangle, which
-    gives the same values as differencing every row against every other
-    and needs no threaded BLAS. Small integer points, such as the
-    mismatch-count rows the runner passes, are differenced in float32:
-    every partial sum is then an integer below 2^24, so the result is
-    exact and the memory traffic halves. On a 2-vCPU x86 host that cut
-    the agglom-large benchmark's wall time (N=600) from 0.77 to 0.55 s,
-    median of 10 alternating pairs, and Ward at N=2000 from 13.5 to 4-6 s.
+    Integer points within the bound of ``_gram_is_exact``, which every
+    mismatch-count row meets, take one Gram product. Each of its partial
+    sums (of a.b, and of ||a||^2 + ||b||^2 - 2 a.b, both at most
+    dim * (2 max|x|)^2) is then an integer that float64 holds exactly,
+    so the result is exact whatever order BLAS adds in and however many
+    threads it uses. On a 2-vCPU x86 host (numpy 2.4, OpenBLAS) that took
+    Ward at N=2000 from 5.1-5.2 s to 0.67-0.76 s, with the same merges.
+    Other points are differenced one row at a time over the upper
+    triangle, which gives the same values as differencing every row
+    against every other.
     """
+    if _gram_is_exact(pts):
+        return _gram_half_sq_distances(pts)
     n = pts.shape[0]
-    span = 2.0 * float(np.abs(pts).max()) if pts.size else 0.0
-    if pts.shape[1] * span * span < 2.0**24 and np.array_equal(pts, np.rint(pts)):
-        pts = pts.astype(np.float32)
     crit = np.full((n, n), np.inf)
     for a in range(n - 1):
         d = pts[a + 1 :] - pts[a]
@@ -285,24 +321,27 @@ def ward(points, k: int, seed=None) -> ClusterResult:
     _check_k(k, n)
 
     crit = _half_sq_distances(pts)
-    means = pts.copy()
     sizes = np.ones(n, dtype=np.float64)
+    merged_means = {}  # by cluster id, for merged clusters still active
 
-    def merge(i, j, m):
+    def mean(c):
+        return merged_means.pop(c) if c >= n else pts[c]
+
+    def merge(i, j, m, left, right, new):
         ni, nj, nk = sizes[i], sizes[j], sizes[:m]
+        mi, mj = mean(left), mean(right)
         # einsum over one row, not a BLAS dot, so the sum rounds as the
         # row-at-a-time exact criterion always has
-        d = (means[j] - means[i])[None]
+        d = (mj - mi)[None]
         value = float(np.einsum("ij,ij->i", d, d)[0] / (1.0 / ni + 1.0 / nj))
         row = ((ni + nk) * crit[i, :m] + (nj + nk) * crit[j, :m] - nk * crit[i, j]) / (
             ni + nj + nk
         )
         total = ni + nj
-        means[i] = (ni * means[i] + nj * means[j]) / total
+        merged_means[new] = (ni * mi + nj * mj) / total
         sizes[i] = total
         last = m - 1
         if j != last:
-            means[j] = means[last]
             sizes[j] = sizes[last]
         return value, row
 
@@ -317,7 +356,7 @@ def mcquitty(d: DissimilarityMatrix, k: int, seed=None) -> ClusterResult:
     crit = d.cells.astype(np.float64)
     np.fill_diagonal(crit, np.inf)
 
-    def merge(i, j, m):
+    def merge(i, j, m, *_):
         return float(crit[i, j]), 0.5 * (crit[i, :m] + crit[j, :m])
 
     return _agglomerate(crit, k, seed, merge)

@@ -5,6 +5,10 @@ their values differ, giving a symmetric N x N integer matrix with a zero
 diagonal. Mismatch counts are not a metric: nothing beyond symmetry and
 the zero diagonal may be assumed. Storage is a dense square array of
 small integers; intended for N up to a few thousand.
+
+The counts come from one matrix product: with H the one-hot encoding of
+every instance's (feature, value) pairs, H H^T counts the features on
+which two instances agree, and q minus it those on which they differ.
 """
 
 from dataclasses import dataclass
@@ -41,13 +45,17 @@ class DissimilarityMatrix:
 
 
 def build(matrix: FeatureMatrix) -> DissimilarityMatrix:
-    """Count mismatching features for every instance pair."""
-    vals = matrix.values
+    """Count mismatching features for every instance pair.
+
+    The one-hot product runs in float32: every partial sum is an integer
+    of at most q < 2^24, so it is exact.
+    """
     n = matrix.n
-    cells = np.zeros((n, n), dtype=np.int32)
-    for i in range(n):
-        cells[i] = (vals != vals[i]).sum(axis=1)
-    return DissimilarityMatrix(cells)
+    onehot = np.zeros((n, matrix.schema.offsets[-1]), dtype=np.float32)
+    onehot[np.arange(n)[:, None], matrix.table_rows] = 1.0
+    cells = onehot @ onehot.T
+    np.subtract(matrix.q, cells, out=cells)
+    return DissimilarityMatrix(cells)  # stored as int32
 
 
 def row_vectors(d: DissimilarityMatrix) -> np.ndarray:

@@ -157,9 +157,8 @@ def _accumulate(posteriors: np.ndarray, data: FeatureMatrix, loglik: float) -> E
     offsets = data.schema.offsets
     # bin (row r, class s) is r * k + s; each bin sums its rows' posteriors
     # in instance order, as a per-feature np.add.at would
-    index = (data.table_rows[:, :, None] * k + np.arange(k)).ravel()
     weights = np.repeat(posteriors, data.q, axis=0).ravel()
-    table = np.bincount(index, weights, minlength=offsets[-1] * k).reshape(-1, k)
+    table = np.bincount(data.table_bins(k), weights, minlength=offsets[-1] * k).reshape(-1, k)
     return ExpectedCounts.from_table(posteriors.sum(axis=0), table, offsets, posteriors, loglik)
 
 

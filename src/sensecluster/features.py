@@ -176,6 +176,22 @@ class FeatureMatrix:
         rows.setflags(write=False)
         return rows
 
+    def table_bins(self, k: int) -> np.ndarray:
+        """``table_rows * k + s`` for every class s < k, flattened in
+        (instance, feature, class) order: the bin of each (table row, class)
+        pair in a flattened (table rows, k) table (read-only, built once
+        per k)."""
+        bins = self._bins_by_k.get(k)
+        if bins is None:
+            bins = (self.table_rows[:, :, None] * k + np.arange(k)).ravel()
+            bins.setflags(write=False)
+            self._bins_by_k[k] = bins
+        return bins
+
+    @cached_property
+    def _bins_by_k(self) -> dict:
+        return {}
+
     def decode_row(self, i) -> tuple[str, ...]:
         """Row i as alphabet strings."""
         return tuple(

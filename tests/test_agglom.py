@@ -357,6 +357,76 @@ class TestHalfSqDistances:
         assert np.array_equal(got, self.brute(points))
 
 
+class TestGramInit:
+    """The Gram-product init against the row-at-a-time difference loop."""
+
+    # at 2 dimensions the bound dim * (2 max|x|)^2 < 2^53 holds up to
+    # max|x| = 2^25 - 1 and fails from 2^25
+    EDGE = 2**25
+
+    @staticmethod
+    def by_loop(points):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom, "_gram_is_exact", lambda pts: False)
+            return agglom._half_sq_distances(points)
+
+    @staticmethod
+    def loop_only(points):
+        """``_half_sq_distances`` with the Gram product made to fail."""
+
+        def refuse(pts):
+            raise AssertionError("took the Gram product")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom, "_gram_half_sq_distances", refuse)
+            return agglom._half_sq_distances(points)
+
+    @staticmethod
+    def edge_points(bound):
+        rng = np.random.default_rng(bound)
+        points = rng.integers(-bound, bound + 1, size=(40, 2)).astype(np.float64)
+        points[0], points[1] = -bound, bound
+        points[2] = (bound, bound - 1)
+        return points
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_loop_on_seeded_integer_points(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dims = int(rng.integers(2, 120)), int(rng.integers(1, 80))
+        points = rng.integers(-(10**seed), 10**seed + 1, size=(n, dims)).astype(np.float64)
+        assert agglom._gram_is_exact(points)
+        assert np.array_equal(agglom._gram_half_sq_distances(points), self.by_loop(points))
+
+    def test_integer_points_just_inside_the_bound(self):
+        points = self.edge_points(self.EDGE - 1)
+        assert agglom._gram_is_exact(points)
+        got = agglom._gram_half_sq_distances(points)
+        assert np.array_equal(got, self.by_loop(points))
+        assert np.array_equal(got, TestHalfSqDistances.brute(points))
+        # rows 0 and 1 differ by 2 max|x| in both dimensions, the largest
+        # squared distance the bound admits
+        assert got[0, 1] == 2 * (2 * (self.EDGE - 1)) ** 2 / 2
+
+    def test_integer_points_at_the_bound_take_the_loop(self):
+        points = self.edge_points(self.EDGE)
+        assert not agglom._gram_is_exact(points)
+        assert np.array_equal(self.loop_only(points), TestHalfSqDistances.brute(points))
+
+    def test_non_integer_point_takes_the_loop(self):
+        rng = np.random.default_rng(9)
+        points = rng.integers(0, 10, size=(30, 4)).astype(np.float64)
+        points[7, 2] += 0.5
+        assert not agglom._gram_is_exact(points)
+        assert np.array_equal(self.loop_only(points), TestHalfSqDistances.brute(points))
+
+    def test_non_finite_points_take_the_loop(self):
+        for bad in (np.inf, np.nan):
+            points = np.zeros((3, 2))
+            points[1, 0] = bad
+            assert not agglom._gram_is_exact(points)
+            self.loop_only(points)
+
+
 # ---------------------------------------------------------------- cached pick path
 
 @pytest.fixture

@@ -9,6 +9,7 @@ is an independent oracle at realistic N on tie-free inputs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestLargeEquivalence:
         got = agglom.ward(points, 2, seed)
         assert got.ties_drawn > 0
         assert_identical(got, reference.ward(points, 2, seed))
+
+
+@pytest.mark.parametrize("set_id", ["A", "B", "C"])
+def test_ward_allocates_less_than_two_matrices(set_id):
+    """No N x N copy of the points, and no N x N gather of the criteria
+    when every row ties (set A), on top of the criterion matrix."""
+    sample = synth_sample("drug", "noun", n=N_LARGE, seed=1)
+    points = row_vectors(build(extract(sample, build_schema(sample, set_id))))
+    tracemalloc.start()
+    try:
+        agglom.ward(points, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * N_LARGE**2 * points.itemsize
 
 
 class TestSmallEquivalence:

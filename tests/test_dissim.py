@@ -71,6 +71,56 @@ class TestBuild:
         # mismatch counts need not satisfy the triangle inequality; no such assert
 
 
+def build_by_rows(matrix):
+    """Mismatch counts one row at a time, the way ``build`` counted them
+    before the one-hot product: the oracle for it."""
+    vals = matrix.values
+    cells = np.zeros((matrix.n, matrix.n), dtype=np.int32)
+    for i in range(matrix.n):
+        cells[i] = (vals != vals[i]).sum(axis=1)
+    return cells
+
+
+def random_matrix(rng, n, cardinalities):
+    schema = FeatureSchema(
+        tuple(
+            Feature(f"f{j}", "pos", tuple(f"v{v}" for v in range(card)))
+            for j, card in enumerate(cardinalities)
+        )
+    )
+    columns = [rng.integers(0, card, size=n) for card in cardinalities]
+    values = np.column_stack(columns) if columns else np.zeros((n, 0), dtype=np.int64)
+    return FeatureMatrix(schema, values)
+
+
+class TestBuildAgainstRowLoop:
+    def check(self, matrix):
+        d = build(matrix)
+        assert d.cells.dtype == np.int32
+        assert np.array_equal(d.cells, build_by_rows(matrix))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_schemas(self, seed):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 40))
+        self.check(random_matrix(rng, int(rng.integers(1, 250)), rng.integers(1, 25, size=q)))
+
+    def test_no_features(self):
+        self.check(random_matrix(np.random.default_rng(0), 7, []))
+
+    def test_one_instance(self):
+        self.check(random_matrix(np.random.default_rng(1), 1, [3, 1, 5]))
+
+    def test_cardinality_one_features(self):
+        rng = np.random.default_rng(2)
+        self.check(random_matrix(rng, 30, [1, 1, 1]))
+        self.check(random_matrix(rng, 30, [1, 4, 1, 2, 1]))
+
+    def test_many_features(self):
+        rng = np.random.default_rng(3)
+        self.check(random_matrix(rng, 120, rng.integers(1, 4, size=500)))
+
+
 class TestRowVectors:
     def test_reference_first_row(self):
         d = DissimilarityMatrix(np.array(REFERENCE_MISMATCHES))

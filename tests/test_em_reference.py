@@ -105,6 +105,18 @@ def test_joints_and_value_counts_are_views_of_one_table():
         assert (joint == params.table[offsets[j]:offsets[j + 1]].T).all()
 
 
+def test_bincount_index_is_built_once_per_k():
+    rng = np.random.default_rng(7)
+    data = random_matrix(rng, 5, 40)
+    for k in (1, 3):
+        bins = data.table_bins(k)
+        assert data.table_bins(k) is bins
+        assert not bins.flags.writeable
+        expected = data.table_rows[:, :, None] * k + np.arange(k)
+        assert bins.tolist() == expected.ravel().tolist()
+    assert data.table_bins(1) is not data.table_bins(3)
+
+
 LOGSUMEXP_ROWS = [
     [[0.5, 0.5, -1.0]],
     [[-3.0, -3.0, -3.0, -3.0]],

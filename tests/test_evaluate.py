@@ -2,7 +2,10 @@
 
 import functools
 import math
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
+from scipy.special import betainc
 
+import sensecluster
 from sensecluster.corpus import WordSample
 from sensecluster.evaluate import (
     AggregateReport,
@@ -22,6 +27,7 @@ from sensecluster.evaluate import (
     confusion_from_labels,
     format_confusion,
     majority_classifier,
+    _two_tailed_p,
     t_test,
 )
 
@@ -356,6 +362,28 @@ class TestTTest:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
             t_test([0.5], [0.5, 0.6])
+
+    def test_p_matches_betainc(self):
+        ts = np.concatenate([np.linspace(0.0, 50.0, 201), [1e-8, 0.3, 1.7, 1.85]])
+        for df in range(2, 201):
+            expected = betainc(df / 2.0, 0.5, df / (df + ts * ts))
+            for t, want in zip(ts.tolist(), expected.tolist()):
+                assert abs(_two_tailed_p(t, df) - want) <= 1e-12 * want, (df, t)
+
+    def test_p_ignores_the_sign_of_t(self):
+        for df in (2, 3, 48, 165):
+            for t in (0.4, 1.7, 6.0):
+                assert _two_tailed_p(-t, df) == _two_tailed_p(t, df)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(sensecluster.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sensecluster; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestNotSignificantlyBelow:
