@@ -40,9 +40,11 @@ CACHE_ABOVE clusters are active, the minimum comes from cached row
 minima in O(m), and the r-th tied pair from per-row counts of tied
 entries right of the diagonal. The counts are updated in O(m) per merge
 while the minimum holds and recounted over the rows near a new minimum
-when it moves. Below CACHE_ABOVE a full scan of the matrix is cheaper
-than that bookkeeping. Both paths pick the same pair and consume the
-generator the same way.
+when it moves. At or below CACHE_ABOVE a full scan of the matrix is
+cheaper than that bookkeeping: one argmin, one mask of the entries
+within the tolerance, and, when more than one pair ties, the r-th flat
+index of that mask restricted to a precomputed strict upper triangle.
+Both paths pick the same pair and consume the generator the same way.
 
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
 the merge at step t creates cluster id N+t.
@@ -59,14 +61,17 @@ TIE_TOL = 1e-9
 # While more than this many clusters are active, merges are picked from
 # cached row minima and tie counts; at or below it a full scan is
 # cheaper than the bookkeeping's fixed per-merge numpy overhead. On a
-# 2-vCPU x86 host (numpy 2.4) a merge cost 50-70 us either way at about
-# 100 active clusters; at 150 the cache took 50-80 us against 80-120 us
-# for the scan, and at 300 65-90 us against 290-450 us.
+# 2-vCPU x86 host (numpy 2.4), merging N=600 mismatch matrices of sets A
+# and B with McQuitty and Ward, a merge took 80-125 us with the cache
+# against 40-90 us with the scan at about 100 active clusters, 95-130
+# against 55-140 us at 150, 80-135 against 90-275 us at 200, and 80-135
+# against 240-580 us at 300.
 CACHE_ABOVE = 150
 
-# Rows of the criterion matrix gathered at once when tie counts are
-# recounted.
-TIE_BLOCK = 128
+# Rows handled at once where a whole-matrix temporary would copy an
+# N x N array: the criterion rows gathered when tie counts are
+# recounted, and Ward's points checked for integer values.
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,10 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must be between 1 and the number of observations ({n}), got {k}")
 
 
+# Strict upper triangle of the largest block the full scan sees.
+_UPPER = np.triu(np.ones((CACHE_ABOVE + 1, CACHE_ABOVE + 1), dtype=bool), 1)
+
+
 def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
     """Index pair (i < j) of the minimum criterion, and whether ties were drawn."""
     m = crit.shape[0]
@@ -116,9 +125,13 @@ def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
     mask = crit <= vmin + TIE_TOL
     drew = np.count_nonzero(mask) > 2  # symmetric, so a unique pair hits twice
     if drew:
-        cand = np.argwhere(mask)
-        cand = cand[cand[:, 0] < cand[:, 1]]
-        i, j = (int(v) for v in cand[rng.integers(len(cand))])
+        # flat indices of the tied pairs right of the diagonal, in row-major order
+        if m <= _UPPER.shape[0]:
+            mask &= _UPPER[:m, :m]
+        else:
+            mask = np.triu(mask, 1)
+        cand = np.flatnonzero(mask)
+        i, j = divmod(int(cand[rng.integers(cand.size)]), m)
     return min(i, j), max(i, j), drew
 
 
@@ -146,8 +159,8 @@ class _MinCache:
             rows = np.flatnonzero(rowmin <= thr)
             # in blocks of rows: with dense ties every row can qualify,
             # and one gather would copy the whole matrix
-            for start in range(0, rows.size, TIE_BLOCK):
-                block = rows[start : start + TIE_BLOCK]
+            for start in range(0, rows.size, ROW_BLOCK):
+                block = rows[start : start + ROW_BLOCK]
                 near = crit[block, :m] <= thr
                 near &= np.arange(m) > block[:, None]
                 ties[block] = np.count_nonzero(near, axis=1)
@@ -268,9 +281,16 @@ def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
 
 def _gram_is_exact(pts: np.ndarray) -> bool:
     """Whether every partial sum of the Gram-product distances is an
-    integer below 2^53: integer points with dim * (2 max|x|)^2 < 2^53."""
-    span = 2.0 * float(np.abs(pts).max()) if pts.size else 0.0
-    return pts.shape[1] * span * span < 2.0**53 and np.array_equal(pts, np.rint(pts))
+    integer below 2^53: integer points with dim * (2 max|x|)^2 < 2^53.
+
+    Checked ROW_BLOCK rows at a time, with no temporary the size of the
+    points.
+    """
+    span = 2.0 * max(float(pts.max()), -float(pts.min())) if pts.size else 0.0
+    if not pts.shape[1] * span * span < 2.0**53:
+        return False
+    blocks = (pts[start : start + ROW_BLOCK] for start in range(0, pts.shape[0], ROW_BLOCK))
+    return all(np.array_equal(block, np.rint(block)) for block in blocks)
 
 
 def _gram_half_sq_distances(pts: np.ndarray) -> np.ndarray:

@@ -32,9 +32,20 @@ class DissimilarityMatrix:
             raise ValueError("matrix must be symmetric")
         if arr.size and arr.min() < 0:
             raise ValueError("mismatch counts must be non-negative")
+        self._store(arr)
+
+    def _store(self, arr: np.ndarray) -> None:
         arr = arr.astype(np.int32, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "cells", arr)
+
+    @classmethod
+    def _trusted(cls, cells: np.ndarray) -> "DissimilarityMatrix":
+        """Wrap counts that are square, symmetric, non-negative and zero on
+        the diagonal by construction, without checking them again."""
+        d = object.__new__(cls)
+        d._store(cells)
+        return d
 
     @property
     def n(self) -> int:
@@ -55,7 +66,7 @@ def build(matrix: FeatureMatrix) -> DissimilarityMatrix:
     onehot[np.arange(n)[:, None], matrix.table_rows] = 1.0
     cells = onehot @ onehot.T
     np.subtract(matrix.q, cells, out=cells)
-    return DissimilarityMatrix(cells)  # stored as int32
+    return DissimilarityMatrix._trusted(cells)
 
 
 def row_vectors(d: DissimilarityMatrix) -> np.ndarray:

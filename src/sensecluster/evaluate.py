@@ -47,18 +47,20 @@ class ConfusionMatrix:
 
 
 def confusion_from_labels(gold, assignment, senses, n_clusters=None) -> ConfusionMatrix:
-    """Tabulate gold sense labels against cluster indices."""
+    """Tabulate gold sense labels against cluster indices 0..n_clusters-1."""
     senses = tuple(senses)
-    assignment = np.asarray(assignment)
-    if len(gold) != assignment.size:
+    clusters = np.asarray(assignment).astype(np.int64)
+    if len(gold) != clusters.size:
         raise ValueError("gold labels and assignment differ in length")
     if n_clusters is None:
-        n_clusters = int(assignment.max()) + 1 if assignment.size else 0
+        n_clusters = int(clusters.max()) + 1 if clusters.size else 0
+    if clusters.size and (clusters.min() < 0 or clusters.max() >= n_clusters):
+        raise ValueError(f"cluster indices must lie in [0, {n_clusters})")
     index = {s: i for i, s in enumerate(senses)}
-    counts = np.zeros((len(senses), n_clusters), dtype=np.int64)
-    for label, cluster in zip(gold, assignment):
-        counts[index[label], int(cluster)] += 1
-    return ConfusionMatrix(senses, tuple(str(c) for c in range(n_clusters)), counts)
+    rows = np.fromiter((index[label] for label in gold), dtype=np.int64, count=clusters.size)
+    counts = np.bincount(rows * n_clusters + clusters, minlength=len(senses) * n_clusters)
+    shape = (len(senses), n_clusters)
+    return ConfusionMatrix(senses, tuple(str(c) for c in range(n_clusters)), counts.reshape(shape))
 
 
 def best_mapping(cm: ConfusionMatrix) -> tuple[dict[int, int], int]:

@@ -419,6 +419,17 @@ class TestGramInit:
         assert not agglom._gram_is_exact(points)
         assert np.array_equal(self.loop_only(points), TestHalfSqDistances.brute(points))
 
+    @pytest.mark.parametrize(
+        "row", [0, agglom.ROW_BLOCK - 1, agglom.ROW_BLOCK, 2 * agglom.ROW_BLOCK + 5]
+    )
+    def test_every_row_block_is_checked(self, row):
+        points = np.zeros((2 * agglom.ROW_BLOCK + 6, 3))
+        for bad in (0.5, np.nan, -self.EDGE):  # a negative extreme alone breaks the bound
+            points[row, 1] = bad
+            assert not agglom._gram_is_exact(points)
+        points[row, 1] = -3.0
+        assert agglom._gram_is_exact(points)
+
     def test_non_finite_points_take_the_loop(self):
         for bad in (np.inf, np.nan):
             points = np.zeros((3, 2))

@@ -105,6 +105,44 @@ class TestSmallEquivalence:
             assert_identical(agglom.ward(points, 2, seed), reference.ward(points, 2, seed))
 
 
+def symmetric(upper_values, m):
+    """Symmetric m x m matrix from the strict upper triangle of a draw, inf diagonal."""
+    crit = np.triu(upper_values, 1)
+    crit = crit + crit.T
+    np.fill_diagonal(crit, np.inf)
+    return crit
+
+
+def pick_inputs(m, rng):
+    """Criterion blocks of m active clusters: dense integer ties, sparse
+    ties, inf entries and an all-inf block."""
+    dense = symmetric(rng.integers(0, 3, size=(m, m)).astype(np.float64), m)
+    sparse = symmetric(rng.integers(0, 10**6, size=(m, m)).astype(np.float64), m)
+    pairs = rng.integers(0, m, size=(int(rng.integers(1, 4)), 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    sparse[pairs[:, 0], pairs[:, 1]] = sparse[pairs[:, 1], pairs[:, 0]] = -1.0
+    with_inf = dense.copy()
+    gone = rng.random((m, m)) < 0.3
+    with_inf[gone | gone.T] = np.inf
+    return dense, sparse, with_inf, np.full((m, m), np.inf)
+
+
+@pytest.mark.parametrize("m", [*range(2, 151), agglom.CACHE_ABOVE + 2, 200])
+def test_pick_matches_the_reference_scan(m):
+    """The same pair, the same draw flag and the same generator state as
+    the original argwhere scan, on blocks cut from a larger matrix as the
+    driver passes them (and past the precomputed triangle at m > 151)."""
+    rng = np.random.default_rng(m)
+    for crit in pick_inputs(m, rng):
+        full = np.full((m + 3, m + 3), 7.0)
+        full[:m, :m] = crit
+        block = full[:m, :m]
+        ours, theirs = np.random.default_rng(m), np.random.default_rng(m)
+        for _ in range(3):
+            assert agglom._pick_min_pair(block, ours) == reference._pick_min_pair(block, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def scipy_pairs(z):
     return [frozenset((int(a), int(b))) for a, b in z[:, :2]]
 

@@ -121,6 +121,30 @@ class TestBuildAgainstRowLoop:
         self.check(random_matrix(rng, 120, rng.integers(1, 4, size=500)))
 
 
+class TestBuildSkipsValidation:
+    """``build`` stores its counts without the constructor's checks, so its
+    result must be exactly what the validated constructor would make."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_validated_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        matrix = random_matrix(rng, int(rng.integers(1, 200)), rng.integers(1, 12, size=15))
+        d = build(matrix)
+        validated = DissimilarityMatrix(d.cells)
+        assert d.cells.dtype == validated.cells.dtype == np.int32
+        assert np.array_equal(d.cells, validated.cells)
+        assert not d.cells.flags.writeable
+        assert d.n == validated.n == matrix.n
+
+    def test_does_not_run_the_checks(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("build re-validated its own output")
+
+        monkeypatch.setattr(DissimilarityMatrix, "__post_init__", refuse)
+        d = build(nominal_matrix(REFERENCE_VALUES))
+        assert d.cells.tolist() == REFERENCE_MISMATCHES
+
+
 class TestRowVectors:
     def test_reference_first_row(self):
         d = DissimilarityMatrix(np.array(REFERENCE_MISMATCHES))
@@ -152,6 +176,23 @@ class TestValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             DissimilarityMatrix(np.array([[0, -1], [-1, 0]]))
+
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            DissimilarityMatrix(np.zeros((2, 3), dtype=int))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 0\n0 0\n", "diagonal"),
+            ("0 1\n2 0\n", "symmetric"),
+            ("0\n-1 0\n", "non-negative"),
+        ],
+    )
+    def test_parsed_text_is_checked(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_matrix_text(text)
 
 
 class TestText:

@@ -204,6 +204,34 @@ class TestConfusionFromLabels:
             assert matrix.counts[i].sum() == gold.count(sense)
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_equal_a_per_instance_tally(self, seed):
+        rng = np.random.default_rng(seed)
+        n_senses, n_clusters = (int(v) for v in rng.integers(1, 8, size=2))
+        senses = tuple(f"s{i}" for i in range(n_senses))
+        gold = [senses[i] for i in rng.integers(0, n_senses, size=120)]
+        assignment = rng.integers(0, n_clusters, size=120)
+        expected = np.zeros((n_senses, n_clusters), dtype=np.int64)
+        for label, cluster in zip(gold, assignment):
+            expected[senses.index(label), cluster] += 1
+        matrix = confusion_from_labels(gold, assignment, senses, n_clusters)
+        assert matrix.counts.tolist() == expected.tolist()
+        assert matrix.clusters == tuple(str(c) for c in range(n_clusters))
+
+    def test_cluster_count_defaults_to_largest_index(self):
+        matrix = confusion_from_labels(["a", "b", "a"], [0, 2, 2], ("a", "b"))
+        assert matrix.counts.tolist() == [[1, 0, 1], [0, 0, 1]]
+        assert confusion_from_labels([], [], ("a", "b")).counts.shape == (2, 0)
+
+    @pytest.mark.parametrize(
+        "assignment, n_clusters",
+        [([0, -1, 1], 2), ([0, 2, 1], 2), ([0, -1, 1], None)],
+    )
+    def test_rejects_cluster_indices_out_of_range(self, assignment, n_clusters):
+        with pytest.raises(ValueError, match="cluster indices"):
+            confusion_from_labels(["a", "b", "a"], assignment, ("a", "b"), n_clusters)
+
+
 class TestMajorityClassifier:
     def sample(self, counts, senses):
         instances = []
