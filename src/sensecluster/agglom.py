@@ -113,7 +113,7 @@ def _check_k(k: int, n: int) -> None:
 
 
 # Strict upper triangle of the largest block the full scan sees.
-_UPPER = np.triu(np.ones((CACHE_ABOVE + 1, CACHE_ABOVE + 1), dtype=bool), 1)
+_UPPER = np.triu(np.ones((CACHE_ABOVE, CACHE_ABOVE), dtype=bool), 1)
 
 
 def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
@@ -126,10 +126,7 @@ def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
     drew = np.count_nonzero(mask) > 2  # symmetric, so a unique pair hits twice
     if drew:
         # flat indices of the tied pairs right of the diagonal, in row-major order
-        if m <= _UPPER.shape[0]:
-            mask &= _UPPER[:m, :m]
-        else:
-            mask = np.triu(mask, 1)
+        mask &= _UPPER[:m, :m]
         cand = np.flatnonzero(mask)
         i, j = divmod(int(cand[rng.integers(cand.size)]), m)
     return min(i, j), max(i, j), drew
