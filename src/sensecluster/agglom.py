@@ -12,19 +12,21 @@ it merges the pair with the fewest dissimilar features and scores the
 new cluster against every other cluster as the plain average of its two
 parts' scores.
 
-Both run through one driver that keeps the criterion matrix of the
-active clusters and, after each merge, rewrites only the merged
-cluster's row with the method's Lance-Williams update: McQuitty's
-average, and for Ward
+Both run through one driver. It owns the bookkeeping: the criterion
+matrix of the m active clusters, the id and size of the cluster in each
+active slot, and the slot moves (after a merge the last slot moves into
+the freed one). A method only supplies, for the chosen slot pair, the
+criterion to record and the merged cluster's new row, from its
+Lance-Williams update: McQuitty's average, and for Ward
 
     c(IJ, K) = ((N_I+N_K) c(I,K) + (N_J+N_K) c(J,K) - N_K c(I,J)) / (N_I+N_J+N_K)
 
-starting from ||x_a - x_b||^2 / 2, so a merge costs O(m) for m active
-clusters instead of O(m N). For integer points, such as mismatch-count
-rows, that start is one matrix product, (||a||^2 + ||b||^2 - 2 a.b) / 2,
-exact in float64 (see ``_half_sq_distances``). For Ward these values
-only choose the merges. The criterion a Ward merge records is recomputed
-from exact cluster means and sizes with the formula above: the
+starting from ||x_a - x_b||^2 / 2, so a merge costs O(m) instead of
+O(m N). For integer points, such as mismatch-count rows, that start is
+one matrix product, (||a||^2 + ||b||^2 - 2 a.b) / 2, exact in float64
+(see ``_half_sq_distances``). For Ward these values only choose the
+merges. The criterion a Ward merge records is recomputed from exact
+cluster means and the driver's sizes with the formula above: the
 recurrence rounds differently in the last bits (841.3125000000001
 against 841.3124999999998 in one case), which would change the six-digit
 merge trace. A singleton's mean is its own point; a merged cluster's
@@ -47,7 +49,8 @@ index of that mask restricted to a precomputed strict upper triangle.
 Both paths pick the same pair and consume the generator the same way.
 
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
-the merge at step t creates cluster id N+t.
+the merge at step t creates cluster id N+t. The final assignment is
+replayed from that record.
 """
 
 from dataclasses import dataclass
@@ -81,14 +84,15 @@ class Merge:
     criterion: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterResult:
     """Hard assignment into k clusters plus the merge history that built them.
 
     Cluster labels are 0..k-1, ordered by each cluster's smallest member
     index, so labelling does not depend on merge order. ``ties_drawn``
     counts the merge steps that drew among tied pairs, i.e. how many
-    times the seeded generator was consumed.
+    times the seeded generator was consumed. Holds its own read-only copy
+    of the assignment; equal by value and unhashable.
     """
 
     assignment: np.ndarray
@@ -97,10 +101,16 @@ class ClusterResult:
     ties_drawn: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.assignment, dtype=np.int64)
+        arr = np.array(self.assignment, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "assignment", arr)
         object.__setattr__(self, "merges", tuple(self.merges))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = (self.merges, self.k, self.ties_drawn) == (other.merges, other.k, other.ties_drawn)
+        return same and np.array_equal(self.assignment, other.assignment)
 
     @property
     def n(self) -> int:
@@ -200,80 +210,67 @@ class _MinCache:
             self.ties[s] = np.count_nonzero(crit[s, s + 1 : m] <= self.thr)
 
 
-def _finish(n: int, members: list[list[int]], merges: list[Merge], k: int,
-            drawn: int) -> ClusterResult:
+def _finish(n: int, merges: list[Merge], k: int, drawn: int) -> ClusterResult:
+    """Label the clusters left after ``merges`` by their smallest member,
+    replaying member lists by cluster id; each merge pops its children's
+    lists, so at most n members are held at once."""
+    members = {c: [c] for c in range(n)}
+    for step, mg in enumerate(merges):
+        members[n + step] = members.pop(mg.left) + members.pop(mg.right)
     assignment = np.empty(n, dtype=np.int64)
-    order = sorted(range(len(members)), key=lambda c: min(members[c]))
-    for label, c in enumerate(order):
-        assignment[members[c]] = label
+    for label, cluster in enumerate(sorted(members.values(), key=min)):
+        assignment[cluster] = label
     return ClusterResult(assignment, tuple(merges), k, drawn)
-
-
-def _drop_cluster(crit, ids, members, j, m):
-    """Remove active slot j by swapping the last active slot into it.
-
-    O(m) per removal where rebuilding the matrix would be O(m^2); the
-    slot order carries no meaning (cluster identity lives in ``ids``).
-    """
-    last = m - 1
-    if j != last:
-        crit[j, :m] = crit[last, :m]
-        crit[:m, j] = crit[:m, last]
-        crit[j, j] = np.inf
-        ids[j] = ids[last]
-        members[j] = members[last]
-    ids.pop()
-    members.pop()
-    return last
 
 
 def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
     """Merge the clusters of an n x n criterion matrix (inf diagonal) down to k.
 
-    ``merge(i, j, m, left, right, new)`` is called for the chosen active
-    slots i < j of m, which hold clusters ``left`` and ``right``; the
-    merged cluster gets id ``new``. It returns the criterion to record and
-    a fresh array of the merged cluster's criteria against all m slots
-    (entries i and j ignored), and keeps the method's own per-slot state,
-    moving slot m-1 into j.
+    The driver keeps each active slot's cluster id and size and moves
+    the slots. ``merge(i, j, sizes, left, right, new)`` gets the chosen
+    slots i < j of m, the m active sizes (to read only), the ids of the
+    clusters in slots i and j and the merged cluster's id; it returns the
+    criterion to record and a fresh array of the merged cluster's
+    criteria against all m slots (entries i and j ignored). The merged
+    cluster takes slot i and slot m-1 moves into j, so a merge costs
+    O(m): slot order carries no meaning.
     """
     n = crit.shape[0]
     rng = np.random.default_rng(seed)
     ids = list(range(n))
-    members = [[i] for i in range(n)]
+    sizes = np.ones(n)  # float64, as Ward multiplies them into float64 criteria
     cache = _MinCache(crit) if n > CACHE_ABOVE else None
 
     merges: list[Merge] = []
     drawn = 0
-    m = n
     for step in range(n - k):
+        m = n - step
         cached = m > CACHE_ABOVE
-        if cached:
-            i, j, drew = cache.pick(m, rng)
-        else:
-            i, j, drew = _pick_min_pair(crit[:m, :m], rng)
+        i, j, drew = cache.pick(m, rng) if cached else _pick_min_pair(crit[:m, :m], rng)
         drawn += drew
         new = n + step
-        value, row = merge(i, j, m, ids[i], ids[j], new)
+        value, row = merge(i, j, sizes[:m], ids[i], ids[j], new)
         merges.append(Merge(ids[i], ids[j], value))
-        members[i] = members[i] + members[j]
-        ids[i] = new
         if cached:
             stale = cache.retire(i, j, m, row)
+        ids[i] = new
+        sizes[i] += sizes[j]
 
-        last = _drop_cluster(crit, ids, members, j, m)
-        if j != last:
-            row[j] = row[last]
-        m = last
+        # the row copy sets crit[j, last] = inf, which the column copy moves to crit[j, j]
+        last = m - 1
+        ids[j], sizes[j], row[j] = ids[last], sizes[last], row[last]
+        crit[j, :m] = crit[last, :m]
+        crit[:m, j] = crit[:m, last]
+        ids.pop()
 
-        row = row[:m]
+        row = row[:last]
         row[i] = np.inf
-        crit[i, :m] = row
-        crit[:m, i] = row
+        crit[i, :last] = row
+        crit[:last, i] = row
         if cached:
-            cache.admit(i, j, m, stale)
+            cache.admit(i, j, last, stale)
 
-    return _finish(n, members, merges, k, drawn)
+    return _finish(n, merges, k, drawn)
 
 
 def _gram_is_exact(pts: np.ndarray) -> bool:
@@ -338,28 +335,23 @@ def ward(points, k: int, seed=None) -> ClusterResult:
     _check_k(k, n)
 
     crit = _half_sq_distances(pts)
-    sizes = np.ones(n, dtype=np.float64)
     merged_means = {}  # by cluster id, for merged clusters still active
 
     def mean(c):
         return merged_means.pop(c) if c >= n else pts[c]
 
-    def merge(i, j, m, left, right, new):
-        ni, nj, nk = sizes[i], sizes[j], sizes[:m]
+    def merge(i, j, sizes, left, right, new):
+        ni, nj = sizes[i], sizes[j]
         mi, mj = mean(left), mean(right)
         # einsum over one row, not a BLAS dot, so the sum rounds as the
         # row-at-a-time exact criterion always has
         d = (mj - mi)[None]
         value = float(np.einsum("ij,ij->i", d, d)[0] / (1.0 / ni + 1.0 / nj))
-        row = ((ni + nk) * crit[i, :m] + (nj + nk) * crit[j, :m] - nk * crit[i, j]) / (
-            ni + nj + nk
+        m = sizes.size
+        row = ((ni + sizes) * crit[i, :m] + (nj + sizes) * crit[j, :m] - sizes * crit[i, j]) / (
+            ni + nj + sizes
         )
-        total = ni + nj
-        merged_means[new] = (ni * mi + nj * mj) / total
-        sizes[i] = total
-        last = m - 1
-        if j != last:
-            sizes[j] = sizes[last]
+        merged_means[new] = (ni * mi + nj * mj) / (ni + nj)
         return value, row
 
     return _agglomerate(crit, k, seed, merge)
@@ -373,7 +365,8 @@ def mcquitty(d: DissimilarityMatrix, k: int, seed=None) -> ClusterResult:
     crit = d.cells.astype(np.float64)
     np.fill_diagonal(crit, np.inf)
 
-    def merge(i, j, m, *_):
+    def merge(i, j, sizes, *_):
+        m = sizes.size
         return float(crit[i, j]), 0.5 * (crit[i, :m] + crit[j, :m])
 
     return _agglomerate(crit, k, seed, merge)
@@ -385,14 +378,8 @@ def merge_trace(result: ClusterResult) -> str:
     members = {i: [i] for i in range(n)}
     lines = []
     for step, m in enumerate(result.merges):
-        left, right = members[m.left], members[m.right]
+        left, right = members.pop(m.left), members.pop(m.right)
         members[n + step] = left + right
-        lines.append(
-            "{}  {{{}}}  {{{}}}  {:.6g}".format(
-                step + 1,
-                " ".join(map(str, left)),
-                " ".join(map(str, right)),
-                m.criterion,
-            )
-        )
+        parts = " ".join(map(str, left)), " ".join(map(str, right))
+        lines.append("{}  {{{}}}  {{{}}}  {:.6g}".format(step + 1, *parts, m.criterion))
     return "\n".join(lines) + "\n" if lines else ""

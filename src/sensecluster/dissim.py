@@ -18,8 +18,10 @@ import numpy as np
 from .features import FeatureMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissimilarityMatrix:
+    """Equal by value; unhashable, as its cells are an array."""
+
     cells: np.ndarray
 
     def __post_init__(self):
@@ -46,6 +48,11 @@ class DissimilarityMatrix:
         d = object.__new__(cls)
         d._store(cells)
         return d
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.cells, other.cells)
 
     @property
     def n(self) -> int:

@@ -22,16 +22,20 @@ MAPPING_LIMIT = 12
 CATEGORY_ORDER = ("adjective", "noun", "verb")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """Gold senses (rows) against discovered clusters (columns)."""
+    """Gold senses (rows) against discovered clusters (columns).
+
+    Holds its own read-only copy of the counts; equal by value and
+    unhashable.
+    """
 
     senses: tuple[str, ...]
     clusters: tuple[str, ...]
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
+        arr = np.array(self.counts, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "senses", tuple(self.senses))
@@ -40,6 +44,12 @@ class ConfusionMatrix:
             raise ValueError("counts shape does not match labels")
         if arr.size and arr.min() < 0:
             raise ValueError("counts must be non-negative")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = (self.senses, self.clusters) == (other.senses, other.clusters)
+        return same and np.array_equal(self.counts, other.counts)
 
     @property
     def n(self) -> int:
@@ -257,7 +267,10 @@ def _two_tailed_p(t: float, df: int) -> float:
     factors from its value at a = 1/2 or 1: a difference of log-gammas
     would lose about 1e-12 of relative accuracy at df in the hundreds.
     Over df 2-200 and |t| up to 50, p is within 3e-14 of scipy's
-    ``betainc``; the product takes O(df) steps.
+    ``betainc``. The product takes O(df) steps and its rounding grows
+    with df: the relative error against ``betainc`` was 2.3e-14 up to
+    df=200, 3.6e-12 at df=1e5 and 2.8e-11 at df=1e6. The runner's df is
+    the two cells' trial counts minus 2.
     """
     x = df / (df + t * t)
     a = df / 2.0

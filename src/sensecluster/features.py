@@ -144,13 +144,14 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Extracted nominal values, one row per instance, as alphabet indices."""
+    """Extracted nominal values, one row per instance, as alphabet indices
+    (a read-only copy)."""
 
     schema: FeatureSchema
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64)
+        arr = np.array(self.values, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if arr.ndim != 2 or arr.shape[1] != self.schema.q:

@@ -14,6 +14,7 @@ level.
 
 import configparser
 import hashlib
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -126,6 +127,10 @@ class CellResult:
     assignments: list = field(default_factory=list)
     error: str | None = None
 
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return self.word, self.set_id, self.algorithm
+
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
@@ -195,15 +200,14 @@ def _fmt2(x: float) -> str:
     return f"{x:.2f}".lstrip("0") or "0"
 
 
-def _summary_table(config, samples, cells) -> str:
+def _mean_text(values) -> str:
+    return _fmt3(math.fsum(values) / len(values)) if values else "-"
+
+
+def _summary_table(config, samples, cells, stats) -> str:
+    """The mean-and-std table; ``stats`` holds each evaluated cell's aggregate."""
     columns = [(s, a) for s in config.feature_sets for a in config.algorithms]
-    stats = {}
-    trial_accuracies = {}
-    for cell in cells:
-        if cell.error is None and cell.reports:
-            key = (cell.word, cell.set_id, cell.algorithm)
-            stats[key] = aggregate(cell.reports)
-            trial_accuracies[key] = [r.accuracy for r in cell.reports]
+    failed = {cell.key for cell in cells if cell.error is not None}
 
     maj = {}
     categories = {}
@@ -215,60 +219,40 @@ def _summary_table(config, samples, cells) -> str:
             pass
 
     # per word: the best experiment and those not significantly below it
+    accuracies = {cell.key: [r.accuracy for r in cell.reports] for cell in cells}
     marked = set()
     for word in samples:
-        per_word = {
-            col: trial_accuracies[(word, col[0], col[1])]
-            for col in columns
-            if (word, col[0], col[1]) in trial_accuracies
-        }
-        for col in not_significantly_below(per_word):
-            marked.add((word, col[0], col[1]))
+        per_word = {(s, a): accuracies[word, s, a] for s, a in columns if (word, s, a) in stats}
+        marked.update((word, s, a) for s, a in not_significantly_below(per_word))
 
-    def cell_text(word, set_id, alg):
-        agg = stats.get((word, set_id, alg))
+    def cell_text(key):
+        agg = stats.get(key)
         if agg is None:
-            failed = any(
-                c.word == word and c.set_id == set_id and c.algorithm == alg and c.error
-                for c in cells
-            )
-            return "FAILED" if failed else "-"
-        mark = "*" if (word, set_id, alg) in marked else ""
+            return "FAILED" if key in failed else "-"
+        mark = "*" if key in marked else ""
         return f"{_fmt3(agg.mean)}±{_fmt2(agg.std)}{mark}"
+
+    def column_means(words, s, a):
+        return {w: stats[w, s, a].mean for w in words if (w, s, a) in stats}
 
     header = ["word", "Maj"] + [f"{s}/{a}" for s, a in columns]
     rows = [header]
-    by_cat = {cat: [w for w in config.corpora if categories.get(w) == cat] for cat in CATEGORY_ORDER}
-    col_word_means: dict[tuple, dict[str, float]] = {col: {} for col in columns}
-    for col in columns:
-        for word in samples:
-            agg = stats.get((word, col[0], col[1]))
-            if agg is not None:
-                col_word_means[col][word] = agg.mean
-
     for cat in CATEGORY_ORDER:
-        words = by_cat.get(cat, [])
+        words = [w for w in config.corpora if categories.get(w) == cat]
         if not words:
             continue
         for word in words:
             rows.append(
                 [word, _fmt3(maj[word]) if word in maj else "-"]
-                + [cell_text(word, s, a) for s, a in columns]
+                + [cell_text((word, s, a)) for s, a in columns]
             )
-        cat_row = [cat]
-        cat_maj = {w: maj[w] for w in words if w in maj}
-        cat_row.append(
-            _fmt3(category_rollup(cat_maj, categories)[0][cat]) if cat_maj else "-"
+        rows.append(
+            [cat, _mean_text([maj[w] for w in words if w in maj])]
+            + [_mean_text(column_means(words, s, a).values()) for s, a in columns]
         )
-        for col in columns:
-            vals = {w: col_word_means[col][w] for w in words if w in col_word_means[col]}
-            cat_row.append(_fmt3(category_rollup(vals, categories)[0][cat]) if vals else "-")
-        rows.append(cat_row)
 
     overall_row = ["overall"]
-    overall_row.append(_fmt3(category_rollup(maj, categories)[1]) if maj else "-")
-    for col in columns:
-        vals = col_word_means[col]
+    for vals in [maj] + [column_means(samples, s, a) for s, a in columns]:
         overall_row.append(_fmt3(category_rollup(vals, categories)[1]) if vals else "-")
     rows.append(overall_row)
 
@@ -309,15 +293,13 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
         per_unit = [_run_unit(config, *unit) for unit in units]
     cells = [cell for unit_cells in per_unit for cell in unit_cells]
 
-    failed = []
-    for word, err in preload_errors.items():
-        failed.append((word, "*", "*", err))
-    for cell in cells:
-        if cell.error is not None:
-            failed.append((cell.word, cell.set_id, cell.algorithm, cell.error))
+    failed = [(word, "*", "*", err) for word, err in preload_errors.items()]
+    failed += [(*cell.key, cell.error) for cell in cells if cell.error is not None]
 
+    stats = {
+        cell.key: aggregate(cell.reports) for cell in cells if cell.error is None and cell.reports
+    }
     results_lines = ["word,set,algorithm,trial,seed,accuracy,n,k"]
-    agg_lines = ["word,set,algorithm,trials,mean,std"]
     for cell in cells:
         if cell.error is not None:
             continue
@@ -327,18 +309,16 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
                 f"{rep.word},{rep.feature_set},{rep.algorithm},{rep.trial},"
                 f"{rep.seed},{rep.accuracy!r},{sample.n},{sample.k}"
             )
-        if cell.reports:
-            agg = aggregate(cell.reports)
-            agg_lines.append(
-                f"{cell.word},{cell.set_id},{cell.algorithm},{agg.trials},"
-                f"{agg.mean!r},{agg.std!r}"
-            )
+    agg_lines = ["word,set,algorithm,trials,mean,std"] + [
+        f"{word},{set_id},{alg},{agg.trials},{agg.mean!r},{agg.std!r}"
+        for (word, set_id, alg), agg in stats.items()
+    ]
     (outdir / "results.csv").write_text("\n".join(results_lines) + "\n", encoding="utf-8")
     (outdir / "aggregates.csv").write_text("\n".join(agg_lines) + "\n", encoding="utf-8")
 
     confusion_dir = outdir / "confusion"
     for cell in cells:
-        if cell.error is not None or not cell.reports:
+        if cell.key not in stats:
             continue
         confusion_dir.mkdir(exist_ok=True)
         rep = cell.reports[config.report_trial]
@@ -358,7 +338,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
                 (assign_dir / name).write_text(text, encoding="utf-8")
 
     (outdir / "summary.txt").write_text(
-        _summary_table(config, samples, cells), encoding="utf-8"
+        _summary_table(config, samples, cells, stats), encoding="utf-8"
     )
 
     for word, set_id, alg, err in failed:

@@ -277,6 +277,25 @@ class TestCommon:
             assert len(result.merges) == result.n - k
 
 
+class TestClusterResultValue:
+    def test_equal_by_value_and_unhashable(self):
+        d = DissimilarityMatrix(random_tie_free_matrix(1)[0])
+        result = mcquitty(d, 2, seed=0)
+        assert result == mcquitty(d, 2, seed=0)
+        assert result != mcquitty(d, 3, seed=0)
+        assert result != ClusterResult(result.assignment, result.merges, 2, result.ties_drawn + 1)
+        assert result != ClusterResult(1 - result.assignment, result.merges, 2, result.ties_drawn)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
+
+    def test_holds_its_own_copy(self):
+        assignment = np.array([0, 1, 0])
+        result = ClusterResult(assignment, (), 2)
+        assignment[0] = 1
+        assert result.assignment.tolist() == [0, 1, 0]
+        assert not result.assignment.flags.writeable
+
+
 class TestTies:
     def test_tied_pairs_are_drawn_at_random(self):
         # four identical points: every pair ties at zero, so different

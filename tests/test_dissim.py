@@ -195,6 +195,19 @@ class TestValidation:
             parse_matrix_text(text)
 
 
+class TestValueObject:
+    def test_equal_by_value_and_unhashable(self):
+        cells = np.array(REFERENCE_MISMATCHES)
+        d = DissimilarityMatrix(cells)
+        assert d == DissimilarityMatrix(cells.copy())
+        assert d == parse_matrix_text(format_triangle(d))
+        assert d != DissimilarityMatrix(2 * cells)
+        assert d != DissimilarityMatrix(np.zeros((2, 2), dtype=int))
+        assert d != "cells"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(d)
+
+
 class TestText:
     def test_triangle_round_trip(self):
         d = DissimilarityMatrix(np.array(REFERENCE_MISMATCHES))

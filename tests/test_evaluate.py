@@ -186,6 +186,30 @@ class TestBestMapping:
         assert best_mapping(cm(counts[:, clusters]))[1] == agreement
 
 
+class TestConfusionMatrixValue:
+    def test_equal_by_value_and_unhashable(self):
+        counts = np.array([[1, 2], [3, 4]])
+        matrix = cm(counts)
+        assert matrix == cm(counts.copy())
+        assert matrix == cm(counts.tolist())
+        assert matrix != cm(counts + 1)
+        assert matrix != cm(counts, senses=("x", "y"))
+        assert matrix != cm([[1, 2, 0], [3, 4, 0]])
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(matrix)
+
+    def test_holds_its_own_copy(self):
+        counts = np.array([[1, 2], [3, 4]])
+        matrix = cm(counts)
+        counts[0, 0] = 9
+        assert matrix.counts[0, 0] == 1
+        base = np.array([[1, 2], [3, 4]])
+        view = cm(base[:, :])
+        base[0, 0] = 9
+        assert view.counts[0, 0] == 1
+        assert not matrix.counts.flags.writeable
+
+
 class TestConfusionFromLabels:
     def test_tabulation_and_margins(self):
         gold = ["a", "a", "b", "b", "b"]

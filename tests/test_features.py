@@ -6,6 +6,7 @@ import pytest
 from sensecluster.corpus import WordSample
 from sensecluster.features import (
     DEFAULT_STOPWORDS,
+    FeatureMatrix,
     NONE_VALUE,
     NULL_VALUE,
     build_schema,
@@ -294,6 +295,17 @@ class TestExtract:
         matrix = extract(plant_sample, schema)
         assert matrix.n == plant_sample.n
         assert matrix.q == schema.q
+
+
+class TestFeatureMatrixCopy:
+    def test_holds_its_own_copy(self):
+        sample = random_sample(np.random.default_rng(3), n=6)
+        schema = build_schema(sample, "A")
+        values = extract(sample, schema).values.copy()
+        matrix = FeatureMatrix(schema, values)
+        values[0, 0] += 1
+        assert matrix.values[0, 0] == values[0, 0] - 1
+        assert not matrix.values.flags.writeable
 
 
 class TestDimensionality:
