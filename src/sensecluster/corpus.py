@@ -113,8 +113,10 @@ class WordSample:
 
 def load_corpus(path) -> WordSample:
     """Read and validate a corpus file; instance order follows file order."""
+    # split on LF only: str.splitlines would also break inside token text
+    # holding U+0085, U+2028 or U+2029, which the JSON is written with raw
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
     records = []
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():

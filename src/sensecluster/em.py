@@ -50,12 +50,17 @@ def _split(table: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(table[a:b].T for a, b in zip(offsets[:-1], offsets[1:]))
 
 
-@dataclass(frozen=True, init=False)
+def _arrays_equal(left, right) -> bool:
+    """np.array_equal pairwise over two sequences of arrays of equal length."""
+    return len(left) == len(right) and all(map(np.array_equal, left, right))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class NaiveBayesParams:
     """Mixture weights and the joint tables P(s, f_j = v).
 
     ``table[offsets[j] + v, s]`` holds P(s, f_j = v); ``joints[j]`` is the
-    (k, cardinality) view of feature j's rows.
+    (k, cardinality) view of feature j's rows. Equal by value; unhashable.
     """
 
     priors: np.ndarray
@@ -80,6 +85,13 @@ class NaiveBayesParams:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "offsets", offsets)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _arrays_equal(
+            (self.priors, self.table, self.offsets), (other.priors, other.table, other.offsets)
+        )
+
     @property
     def joints(self) -> tuple[np.ndarray, ...]:
         return _split(self.table, self.offsets)
@@ -103,14 +115,15 @@ class NaiveBayesParams:
         return float(np.abs(self.table - other.table).max(initial=delta))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ExpectedCounts:
     """E-step output: expected class counts, per-feature marginal counts,
     the posterior matrix they were accumulated from, and the observed-data
     log-likelihood of the parameters that produced them.
 
     ``table`` is laid out as ``NaiveBayesParams.table``; ``value_counts[j]``
-    is the (k, cardinality) view of feature j's rows.
+    is the (k, cardinality) view of feature j's rows. Equal by value;
+    unhashable.
     """
 
     sense_counts: np.ndarray
@@ -137,19 +150,39 @@ class ExpectedCounts:
         object.__setattr__(self, "posteriors", posteriors)
         object.__setattr__(self, "loglik", loglik)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.loglik == other.loglik and _arrays_equal(
+            (self.sense_counts, self.table, self.offsets, self.posteriors),
+            (other.sense_counts, other.table, other.offsets, other.posteriors),
+        )
+
     @property
     def value_counts(self) -> tuple[np.ndarray, ...]:
         return _split(self.table, self.offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmResult:
+    """A fitted mixture with its posteriors and run record. Equal by value;
+    unhashable."""
+
     params: NaiveBayesParams
     posteriors: np.ndarray
     assignment: np.ndarray
     loglik_trace: tuple[float, ...]
     iterations: int
     converged: bool
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        record = (self.params, self.loglik_trace, self.iterations, self.converged)
+        same = record == (other.params, other.loglik_trace, other.iterations, other.converged)
+        return same and _arrays_equal(
+            (self.posteriors, self.assignment), (other.posteriors, other.assignment)
+        )
 
 
 def _accumulate(posteriors: np.ndarray, data: FeatureMatrix, loglik: float) -> ExpectedCounts:
@@ -274,14 +307,23 @@ def fit(
     return fit_from(initial_params(data, k, rng), data, max_iter, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedSample:
-    """Synthetic draw from the mixture model, with its generating tables."""
+    """Synthetic draw from the mixture model, with its generating tables.
+    Equal by value; unhashable."""
 
     matrix: FeatureMatrix
     labels: np.ndarray
     priors: np.ndarray
     emissions: tuple[np.ndarray, ...]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.matrix == other.matrix and _arrays_equal(
+            (self.labels, self.priors, *self.emissions),
+            (other.labels, other.priors, *other.emissions),
+        )
 
 
 def generate(

@@ -67,7 +67,10 @@ def confusion_from_labels(gold, assignment, senses, n_clusters=None) -> Confusio
     if clusters.size and (clusters.min() < 0 or clusters.max() >= n_clusters):
         raise ValueError(f"cluster indices must lie in [0, {n_clusters})")
     index = {s: i for i, s in enumerate(senses)}
-    rows = np.fromiter((index[label] for label in gold), dtype=np.int64, count=clusters.size)
+    try:
+        rows = np.fromiter((index[label] for label in gold), dtype=np.int64, count=clusters.size)
+    except KeyError as exc:
+        raise ValueError(f"gold label {exc.args[0]!r} is not one of the senses") from None
     counts = np.bincount(rows * n_clusters + clusters, minlength=len(senses) * n_clusters)
     shape = (len(senses), n_clusters)
     return ConfusionMatrix(senses, tuple(str(c) for c in range(n_clusters)), counts.reshape(shape))

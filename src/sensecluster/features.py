@@ -19,8 +19,12 @@ case-folded text is not on the stopword list and is not the target word
 itself; the default list covers determiners, prepositions, conjunctions,
 auxiliaries and punctuation, and can be replaced by a one-word-per-line
 file. Pronouns are deliberately kept as content words.
+
+A feature name is decoded in one place, the ``_DECODE`` table of kind,
+offset and content restriction that build_schema and dimensionality read.
 """
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +42,18 @@ FEATURE_SETS = {
     "A": ("M", "PL2", "PL1", "PR1", "PR2", "C1", "C2", "C3"),
     "B": ("M", "UL2", "UL1", "UR1", "UR2"),
     "C": ("M", "PL2", "PL1", "PR1", "PR2", "CL1", "CR1"),
+}
+
+# name -> (kind, offset, content_only); offset is the signed distance from
+# the target for "pos" and "colloc" and the frequency rank for "cooc"
+_DECODE = {
+    "M": ("morph", 0, False),
+    "PL2": ("pos", -2, False), "PL1": ("pos", -1, False),
+    "PR1": ("pos", 1, False), "PR2": ("pos", 2, False),
+    "C1": ("cooc", 1, False), "C2": ("cooc", 2, False), "C3": ("cooc", 3, False),
+    "UL2": ("colloc", -2, False), "UL1": ("colloc", -1, False),
+    "UR1": ("colloc", 1, False), "UR2": ("colloc", 2, False),
+    "CL1": ("colloc", -1, True), "CR1": ("colloc", 1, True),
 }
 
 # Morphology cardinality by category under the nominal tagging scheme
@@ -142,10 +158,10 @@ class FeatureSchema:
         return offsets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Extracted nominal values, one row per instance, as alphabet indices
-    (a read-only copy)."""
+    (a read-only copy). Equal by value; unhashable."""
 
     schema: FeatureSchema
     values: np.ndarray
@@ -160,6 +176,11 @@ class FeatureMatrix:
             col = arr[:, j]
             if col.size and (col.min() < 0 or col.max() >= feat.cardinality):
                 raise ValueError(f"value index out of alphabet for feature {feat.name}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.schema == other.schema and np.array_equal(self.values, other.values)
 
     @property
     def n(self) -> int:
@@ -200,10 +221,6 @@ class FeatureMatrix:
         )
 
 
-def _is_content(word: str, stopwords) -> bool:
-    return word not in stopwords
-
-
 def top_content_words(sample: WordSample, k: int, stopwords=None) -> list[str]:
     """The k most frequent content words in the sample's sentences.
 
@@ -219,23 +236,16 @@ def top_content_words(sample: WordSample, k: int, stopwords=None) -> list[str]:
         tok.folded
         for inst in sample.instances
         for tok in inst.tokens
-        if tok.folded != target and _is_content(tok.folded, stop)
+        if tok.folded != target and tok.folded not in stop
     )
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return [word for word, _ in ranked[:k]]
 
 
-def _ranked_positional(sample, offset, content_only, stop) -> list[str]:
-    counts = Counter()
-    for inst in sample.instances:
-        pos = inst.target_index + offset
-        if 0 <= pos < len(inst.tokens):
-            word = inst.tokens[pos].folded
-            if content_only and not _is_content(word, stop):
-                continue
-            counts[word] += 1
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [word for word, _ in ranked]
+def _tokens_at(sample, offset) -> list:
+    """Each instance's token at ``offset`` from the target, None outside the sentence."""
+    at = [(inst.tokens, inst.target_index + offset) for inst in sample.instances]
+    return [tokens[pos] if 0 <= pos < len(tokens) else None for tokens, pos in at]
 
 
 def top_positional_words(
@@ -252,28 +262,18 @@ def top_positional_words(
     if k < 1:
         raise ValueError("k must be at least 1")
     stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
-    return _ranked_positional(sample, offset, content_only, stop)[:k]
+    counts = Counter(
+        tok.folded
+        for tok in _tokens_at(sample, offset)
+        if tok is not None and not (content_only and tok.folded in stop)
+    )
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return [word for word, _ in ranked[:k]]
 
 
+# a token spelled like (null)/(none)/(unusedN) would collide with a
+# collocation alphabet's special slots; such words extract as (none) instead
 _RESERVED = re.compile(r"\((?:none|null|unused\d+)\)$")
-
-
-def _colloc_alphabet(words: list[str]) -> tuple[str, ...]:
-    padded = list(words) + [
-        f"(unused{i})" for i in range(len(words), COLLOC_TOP)
-    ]
-    return tuple(padded) + (NONE_VALUE, NULL_VALUE)
-
-
-def _drop_reserved_spellings(words: list[str]) -> list[str]:
-    # a token spelled like (null)/(none)/(unusedN) would collide with the
-    # alphabet's special slots; such words extract as (none) instead
-    return [w for w in words if not _RESERVED.fullmatch(w)]
-
-
-def _parse_offset(name: str) -> int:
-    side = 1 if name[1] == "R" else -1
-    return side * int(name[2])
 
 
 def build_schema(sample: WordSample, set_id: str, stopwords=None) -> FeatureSchema:
@@ -294,35 +294,60 @@ def build_schema(sample: WordSample, set_id: str, stopwords=None) -> FeatureSche
     features = []
     cooc_words = None
     for name in FEATURE_SETS[set_id]:
-        if name == "M":
+        kind, offset, content_only = _DECODE[name]
+        if kind == "morph":
             if sample.category == "adjective":
                 continue
             morphs = tuple(sorted({inst.morph for inst in sample.instances}))
-            features.append(Feature(name, "morph", morphs))
-        elif name[0] == "P":
-            features.append(Feature(name, "pos", POS_TAGS, offset=_parse_offset(name)))
-        elif name[0] == "C" and name[1].isdigit():
+            features.append(Feature(name, kind, morphs))
+        elif kind == "pos":
+            features.append(Feature(name, kind, POS_TAGS, offset=offset))
+        elif kind == "cooc":
             if cooc_words is None:
-                cooc_words = top_content_words(sample, 3, stop)
-            rank = int(name[1]) - 1
-            word = cooc_words[rank] if rank < len(cooc_words) else None
-            features.append(Feature(name, "cooc", ("0", "1"), word=word))
+                cooc_words = top_content_words(sample, 3, stop) + [None] * 3
+            features.append(Feature(name, kind, ("0", "1"), word=cooc_words[offset - 1]))
         else:
-            offset = _parse_offset(name)
-            content_only = name[0] == "C"
-            words = _drop_reserved_spellings(
-                _ranked_positional(sample, offset, content_only, stop)
-            )[:COLLOC_TOP]
-            features.append(
-                Feature(
-                    name,
-                    "colloc",
-                    _colloc_alphabet(words),
-                    offset=offset,
-                    vocabulary=frozenset(words),
-                )
-            )
+            # all n instances' words at the offset, ranked, before reserved ones drop out
+            ranked = top_positional_words(sample, offset, content_only, sample.n, stop)
+            words = [w for w in ranked if not _RESERVED.fullmatch(w)][:COLLOC_TOP]
+            unused = [f"(unused{i})" for i in range(len(words), COLLOC_TOP)]
+            values = (*words, *unused, NONE_VALUE, NULL_VALUE)
+            features.append(Feature(name, kind, values, offset=offset, vocabulary=frozenset(words)))
     return FeatureSchema(tuple(features))
+
+
+def _morph_column(sample, feat) -> list[int]:
+    index = {v: i for i, v in enumerate(feat.values)}
+    try:
+        return [index[inst.morph] for inst in sample.instances]
+    except KeyError as exc:
+        raise ValueError(
+            f"morph {exc.args[0]!r} not in schema for {feat.name}; "
+            "schema must be built from the same sample"
+        ) from None
+
+
+def _pos_column(sample, feat) -> list[int]:
+    index = {v: i for i, v in enumerate(feat.values)}
+    return [index["other" if tok is None else tok.pos] for tok in _tokens_at(sample, feat.offset)]
+
+
+def _cooc_column(sample, feat) -> list[int]:
+    # a token's text is never None, so an unfilled slot (word None) reads 0
+    return [int(any(tok.folded == feat.word for tok in inst.tokens)) for inst in sample.instances]
+
+
+def _colloc_column(sample, feat) -> list[int]:
+    index = {v: i for i, v in enumerate(feat.values) if v in feat.vocabulary}
+    none_idx = feat.values.index(NONE_VALUE)
+    null_idx = feat.values.index(NULL_VALUE)
+    return [
+        null_idx if tok is None else index.get(tok.folded, none_idx)
+        for tok in _tokens_at(sample, feat.offset)
+    ]
+
+
+_COLUMN = dict(morph=_morph_column, pos=_pos_column, cooc=_cooc_column, colloc=_colloc_column)
 
 
 def extract(sample: WordSample, schema: FeatureSchema) -> FeatureMatrix:
@@ -333,54 +358,9 @@ def extract(sample: WordSample, schema: FeatureSchema) -> FeatureMatrix:
     word missing from their alphabet. The schema must have been built
     from the same sample.
     """
-    extractors = []
-    for feat in schema.features:
-        if feat.kind == "morph":
-            index = {v: i for i, v in enumerate(feat.values)}
-
-            def get(inst, index=index, name=feat.name):
-                try:
-                    return index[inst.morph]
-                except KeyError:
-                    raise ValueError(
-                        f"morph {inst.morph!r} not in schema for {name}; "
-                        "schema must be built from the same sample"
-                    ) from None
-
-        elif feat.kind == "pos":
-            index = {v: i for i, v in enumerate(feat.values)}
-            other = index["other"]
-
-            def get(inst, index=index, off=feat.offset, other=other):
-                pos = inst.target_index + off
-                if 0 <= pos < len(inst.tokens):
-                    return index[inst.tokens[pos].pos]
-                return other
-
-        elif feat.kind == "cooc":
-
-            def get(inst, word=feat.word):
-                if word is None:
-                    return 0
-                return int(any(tok.folded == word for tok in inst.tokens))
-
-        else:
-            index = {v: i for i, v in enumerate(feat.values) if v in feat.vocabulary}
-            none_idx = feat.values.index(NONE_VALUE)
-            null_idx = feat.values.index(NULL_VALUE)
-
-            def get(inst, index=index, off=feat.offset, none_idx=none_idx, null_idx=null_idx):
-                pos = inst.target_index + off
-                if not 0 <= pos < len(inst.tokens):
-                    return null_idx
-                return index.get(inst.tokens[pos].folded, none_idx)
-
-        extractors.append(get)
-
     rows = np.empty((sample.n, schema.q), dtype=np.int64)
-    for i, inst in enumerate(sample.instances):
-        for j, get in enumerate(extractors):
-            rows[i, j] = get(inst)
+    for j, feat in enumerate(schema.features):
+        rows[:, j] = _COLUMN[feat.kind](sample, feat)
     return FeatureMatrix(schema, rows)
 
 
@@ -396,17 +376,10 @@ def dimensionality(set_id: str, category: str) -> int:
         raise ValueError(f"unknown feature set {set_id!r}")
     if category not in MORPH_CARDINALITY:
         raise ValueError(f"unknown category {category!r}")
-    total = 1
-    for name in FEATURE_SETS[set_id]:
-        if name == "M":
-            total *= MORPH_CARDINALITY[category]
-        elif name[0] == "P":
-            total *= len(POS_TAGS)
-        elif name[0] == "C" and name[1].isdigit():
-            total *= 2
-        else:
-            total *= COLLOC_TOP + 2
-    return total
+    sizes = dict(
+        morph=MORPH_CARDINALITY[category], pos=len(POS_TAGS), cooc=2, colloc=COLLOC_TOP + 2
+    )
+    return math.prod(sizes[_DECODE[name][0]] for name in FEATURE_SETS[set_id])
 
 
 def format_matrix(matrix: FeatureMatrix) -> str:

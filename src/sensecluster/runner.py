@@ -28,7 +28,6 @@ from .evaluate import (
     TrialReport,
     aggregate,
     best_mapping,
-    category_rollup,
     confusion_from_labels,
     format_confusion,
     majority_classifier,
@@ -232,11 +231,11 @@ def _summary_table(config, samples, cells, stats) -> str:
         mark = "*" if key in marked else ""
         return f"{_fmt3(agg.mean)}±{_fmt2(agg.std)}{mark}"
 
-    def column_means(words, s, a):
-        return {w: stats[w, s, a].mean for w in words if (w, s, a) in stats}
-
     header = ["word", "Maj"] + [f"{s}/{a}" for s, a in columns]
     rows = [header]
+    # per column (Maj first): the mean of each category that has values;
+    # overall is their unweighted mean, as evaluate.category_rollup defines it
+    cat_means = [[] for _ in header[1:]]
     for cat in CATEGORY_ORDER:
         words = [w for w in config.corpora if categories.get(w) == cat]
         if not words:
@@ -246,15 +245,14 @@ def _summary_table(config, samples, cells, stats) -> str:
                 [word, _fmt3(maj[word]) if word in maj else "-"]
                 + [cell_text((word, s, a)) for s, a in columns]
             )
-        rows.append(
-            [cat, _mean_text([maj[w] for w in words if w in maj])]
-            + [_mean_text(column_means(words, s, a).values()) for s, a in columns]
-        )
-
-    overall_row = ["overall"]
-    for vals in [maj] + [column_means(samples, s, a) for s, a in columns]:
-        overall_row.append(_fmt3(category_rollup(vals, categories)[1]) if vals else "-")
-    rows.append(overall_row)
+        values = [[maj[w] for w in words if w in maj]] + [
+            [stats[w, s, a].mean for w in words if (w, s, a) in stats] for s, a in columns
+        ]
+        rows.append([cat] + [_mean_text(v) for v in values])
+        for means, v in zip(cat_means, values):
+            if v:
+                means.append(math.fsum(v) / len(v))
+    rows.append(["overall"] + [_mean_text(means) for means in cat_means])
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []

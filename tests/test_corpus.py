@@ -138,6 +138,24 @@ class TestRoundTrip:
         assert reloaded.instances[0].gold_sense is None
         assert dumps_corpus(reloaded) == dumps_corpus(sample)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_unicode_line_separators_in_tokens_round_trip(self, tmp_path, separator):
+        inst = make_instance([f"c{separator}", "drug", f"{separator}x"], 1, sense="a")
+        sample = WordSample("drug", "noun", (inst,), ("a", "b"))
+        path = tmp_path / "rt.jsonl"
+        save_corpus(sample, path)
+        first = path.read_bytes()
+        assert load_corpus(path) == sample
+        save_corpus(load_corpus(path), path)
+        assert path.read_bytes() == first
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(f"{HEADER}\r\n{INSTANCE}\r\n".encode("utf-8"))
+        sample = load_corpus(path)
+        assert sample.n == 1
+        assert sample.instances[0].tokens[2].text == "works"
+
     def test_serialized_form_is_json_lines(self):
         inst = make_instance(["drug"], 0, sense="a")
         sample = WordSample("drug", "noun", (inst,), ("a", "b"))

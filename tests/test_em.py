@@ -307,6 +307,33 @@ class TestGenerate:
             generate(2, schema, 10, 1.5, seed=0)
 
 
+class TestValueEquality:
+    def test_params_and_counts_equal_by_value_and_unhashable(self):
+        data = make_matrix(HAND_CARDS, HAND_ROWS)
+        params = hand_params()
+        assert params == hand_params()
+        assert params != NaiveBayesParams(np.array([0.5, 0.5]), HAND_JOINTS)
+        counts = e_step(params, data)
+        assert counts == e_step(hand_params(), data)
+        assert counts != e_step(m_step(counts, data.n), data)
+        for value in (params, counts):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+    def test_results_and_samples_equal_by_value_and_unhashable(self):
+        schema = make_schema(HAND_CARDS)
+        sample = generate(2, schema, 40, separation=0.6, seed=5)
+        assert sample == generate(2, schema, 40, separation=0.6, seed=5)
+        assert sample != generate(2, schema, 40, separation=0.6, seed=6)
+        result = fit(sample.matrix, 2, seed=1)
+        assert result == fit(sample.matrix, 2, seed=1)
+        assert result != fit(sample.matrix, 2, seed=2)
+        assert result != fit(sample.matrix, 2, seed=1, max_iter=1)
+        for value in (sample, result):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+
 class TestExport:
     def test_structured_text_sections(self):
         schema = make_schema((2, 3))

@@ -247,6 +247,10 @@ class TestConfusionFromLabels:
         assert matrix.counts.tolist() == [[1, 0, 1], [0, 0, 1]]
         assert confusion_from_labels([], [], ("a", "b")).counts.shape == (2, 0)
 
+    def test_rejects_gold_label_outside_senses(self):
+        with pytest.raises(ValueError, match="'z'"):
+            confusion_from_labels(["x", "z"], [0, 1], ("x", "y"), 2)
+
     @pytest.mark.parametrize(
         "assignment, n_clusters",
         [([0, -1, 1], 2), ([0, 2, 1], 2), ([0, -1, 1], None)],

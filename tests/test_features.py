@@ -1,11 +1,15 @@
 """Feature schema construction, extraction and dimensionality."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sensecluster.corpus import WordSample
 from sensecluster.features import (
     DEFAULT_STOPWORDS,
+    FEATURE_SETS,
+    MORPH_CARDINALITY,
     FeatureMatrix,
     NONE_VALUE,
     NULL_VALUE,
@@ -307,6 +311,18 @@ class TestFeatureMatrixCopy:
         assert matrix.values[0, 0] == values[0, 0] - 1
         assert not matrix.values.flags.writeable
 
+    def test_equal_by_value_and_unhashable(self):
+        sample = random_sample(np.random.default_rng(3), n=6)
+        schema = build_schema(sample, "A")
+        matrix = extract(sample, schema)
+        assert matrix == extract(sample, build_schema(sample, "A"))
+        changed = matrix.values.copy()
+        changed[0, -1] = 1 - changed[0, -1]
+        assert matrix != FeatureMatrix(schema, changed)
+        assert matrix != extract(sample, build_schema(sample, "C"))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(matrix)
+
 
 class TestDimensionality:
     @pytest.mark.parametrize(
@@ -325,6 +341,24 @@ class TestDimensionality:
     )
     def test_endpoints(self, set_id, category, expected):
         assert dimensionality(set_id, category) == expected
+
+    @pytest.mark.parametrize("set_id", sorted(FEATURE_SETS))
+    @pytest.mark.parametrize("category", sorted(MORPH_CARDINALITY))
+    def test_equals_product_of_schema_cardinalities(self, set_id, category):
+        # a sample carrying the nominal number of morph tags for its category
+        tags = {
+            "adjective": [""],
+            "noun": ["singular", "plural"],
+            "verb": ["base", "past", "gerund", "3sg", "perfect", "passive", "modal"],
+        }[category]
+        assert len(tags) == MORPH_CARDINALITY[category]
+        instances = tuple(
+            make_instance([("a", "other"), ("term", category), ("b", "noun")], 1, morph=tag)
+            for tag in tags
+        )
+        sample = WordSample("term", category, instances, ("s1", "s2"))
+        schema = build_schema(sample, set_id)
+        assert dimensionality(set_id, category) == math.prod(schema.cardinalities)
 
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError):
