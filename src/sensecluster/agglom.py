@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import ArrayValue
 from .dissim import DissimilarityMatrix
 
 TIE_TOL = 1e-9
@@ -85,7 +86,7 @@ class Merge:
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterResult:
+class ClusterResult(ArrayValue):
     """Hard assignment into k clusters plus the merge history that built them.
 
     Cluster labels are 0..k-1, ordered by each cluster's smallest member
@@ -101,16 +102,8 @@ class ClusterResult:
     ties_drawn: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.assignment, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "assignment", arr)
+        self._hold("assignment", np.int64)
         object.__setattr__(self, "merges", tuple(self.merges))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        same = (self.merges, self.k, self.ties_drawn) == (other.merges, other.k, other.ties_drawn)
-        return same and np.array_equal(self.assignment, other.assignment)
 
     @property
     def n(self) -> int:

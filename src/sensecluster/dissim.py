@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import ArrayValue
 from .features import FeatureMatrix
 
 
 @dataclass(frozen=True, eq=False)
-class DissimilarityMatrix:
-    """Equal by value; unhashable, as its cells are an array."""
+class DissimilarityMatrix(ArrayValue):
+    """Mismatch counts as a read-only int32 copy; equal by value, unhashable."""
 
     cells: np.ndarray
 
@@ -34,32 +35,20 @@ class DissimilarityMatrix:
             raise ValueError("matrix must be symmetric")
         if arr.size and arr.min() < 0:
             raise ValueError("mismatch counts must be non-negative")
-        self._store(arr)
-
-    def _store(self, arr: np.ndarray) -> None:
-        arr = arr.astype(np.int32, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
+        self._hold("cells", np.int32)
 
     @classmethod
     def _trusted(cls, cells: np.ndarray) -> "DissimilarityMatrix":
         """Wrap counts that are square, symmetric, non-negative and zero on
         the diagonal by construction, without checking them again."""
         d = object.__new__(cls)
-        d._store(cells)
+        object.__setattr__(d, "cells", cells)
+        d._hold("cells", np.int32)
         return d
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.cells, other.cells)
 
     @property
     def n(self) -> int:
         return self.cells.shape[0]
-
-    def cell(self, i: int, j: int) -> int:
-        return int(self.cells[i, j])
 
 
 def build(matrix: FeatureMatrix) -> DissimilarityMatrix:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._value import ArrayValue
 from .features import FeatureMatrix, FeatureSchema
 
 PROB_FLOOR = 1e-12
@@ -50,47 +51,28 @@ def _split(table: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(table[a:b].T for a, b in zip(offsets[:-1], offsets[1:]))
 
 
-def _arrays_equal(left, right) -> bool:
-    """np.array_equal pairwise over two sequences of arrays of equal length."""
-    return len(left) == len(right) and all(map(np.array_equal, left, right))
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class NaiveBayesParams:
+@dataclass(frozen=True, eq=False)
+class NaiveBayesParams(ArrayValue):
     """Mixture weights and the joint tables P(s, f_j = v).
 
     ``table[offsets[j] + v, s]`` holds P(s, f_j = v); ``joints[j]`` is the
-    (k, cardinality) view of feature j's rows. Equal by value; unhashable.
+    (k, cardinality) view of feature j's rows. Holds its own read-only
+    copies of ``priors`` and ``table``; equal by value and unhashable.
     """
 
     priors: np.ndarray
     table: np.ndarray
     offsets: np.ndarray
 
-    def __init__(self, priors, joints):
-        priors = np.asarray(priors, dtype=np.float64)
-        table, offsets = _stack(joints, priors.size)
-        self._set(priors, table, offsets)
+    def __post_init__(self):
+        self._hold("priors", np.float64)
+        self._hold("table", np.float64)
 
     @classmethod
-    def from_table(cls, priors, table, offsets) -> "NaiveBayesParams":
-        params = cls.__new__(cls)
-        params._set(np.asarray(priors, dtype=np.float64), table, offsets)
-        return params
-
-    def _set(self, priors, table, offsets) -> None:
-        priors.setflags(write=False)
-        table.setflags(write=False)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "offsets", offsets)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return _arrays_equal(
-            (self.priors, self.table, self.offsets), (other.priors, other.table, other.offsets)
-        )
+    def from_joints(cls, priors, joints) -> "NaiveBayesParams":
+        """Parameters from the priors and per-feature (k, cardinality) tables."""
+        priors = np.asarray(priors, dtype=np.float64)
+        return cls(priors, *_stack(joints, priors.size))
 
     @property
     def joints(self) -> tuple[np.ndarray, ...]:
@@ -115,8 +97,8 @@ class NaiveBayesParams:
         return float(np.abs(self.table - other.table).max(initial=delta))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class ExpectedCounts:
+@dataclass(frozen=True, eq=False)
+class ExpectedCounts(ArrayValue):
     """E-step output: expected class counts, per-feature marginal counts,
     the posterior matrix they were accumulated from, and the observed-data
     log-likelihood of the parameters that produced them.
@@ -132,31 +114,11 @@ class ExpectedCounts:
     posteriors: np.ndarray
     loglik: float
 
-    def __init__(self, sense_counts, value_counts, posteriors, loglik):
-        sense_counts = np.asarray(sense_counts, dtype=np.float64)
-        table, offsets = _stack(value_counts, sense_counts.size)
-        self._set(sense_counts, table, offsets, posteriors, loglik)
-
     @classmethod
-    def from_table(cls, sense_counts, table, offsets, posteriors, loglik) -> "ExpectedCounts":
-        counts = cls.__new__(cls)
-        counts._set(sense_counts, table, offsets, posteriors, loglik)
-        return counts
-
-    def _set(self, sense_counts, table, offsets, posteriors, loglik) -> None:
-        object.__setattr__(self, "sense_counts", sense_counts)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "posteriors", posteriors)
-        object.__setattr__(self, "loglik", loglik)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.loglik == other.loglik and _arrays_equal(
-            (self.sense_counts, self.table, self.offsets, self.posteriors),
-            (other.sense_counts, other.table, other.offsets, other.posteriors),
-        )
+    def from_value_counts(cls, sense_counts, value_counts, posteriors, loglik) -> "ExpectedCounts":
+        """Counts from the class counts and per-feature (k, cardinality) tables."""
+        sense_counts = np.asarray(sense_counts, dtype=np.float64)
+        return cls(sense_counts, *_stack(value_counts, sense_counts.size), posteriors, loglik)
 
     @property
     def value_counts(self) -> tuple[np.ndarray, ...]:
@@ -164,7 +126,7 @@ class ExpectedCounts:
 
 
 @dataclass(frozen=True, eq=False)
-class EmResult:
+class EmResult(ArrayValue):
     """A fitted mixture with its posteriors and run record. Equal by value;
     unhashable."""
 
@@ -175,15 +137,6 @@ class EmResult:
     iterations: int
     converged: bool
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        record = (self.params, self.loglik_trace, self.iterations, self.converged)
-        same = record == (other.params, other.loglik_trace, other.iterations, other.converged)
-        return same and _arrays_equal(
-            (self.posteriors, self.assignment), (other.posteriors, other.assignment)
-        )
-
 
 def _accumulate(posteriors: np.ndarray, data: FeatureMatrix, loglik: float) -> ExpectedCounts:
     k = posteriors.shape[1]
@@ -192,7 +145,7 @@ def _accumulate(posteriors: np.ndarray, data: FeatureMatrix, loglik: float) -> E
     # in instance order, as a per-feature np.add.at would
     weights = np.repeat(posteriors, data.q, axis=0).ravel()
     table = np.bincount(data.table_bins(k), weights, minlength=offsets[-1] * k).reshape(-1, k)
-    return ExpectedCounts.from_table(posteriors.sum(axis=0), table, offsets, posteriors, loglik)
+    return ExpectedCounts(posteriors.sum(axis=0), table, offsets, posteriors, loglik)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -246,7 +199,7 @@ def m_step(counts: ExpectedCounts, n: int) -> NaiveBayesParams:
     # each feature's block sums on its own, exactly as a per-feature table would
     sums = [table[a:b].sum() for a, b in zip(offsets[:-1], offsets[1:])]
     table /= np.repeat(sums, np.diff(offsets))[:, None]
-    return NaiveBayesParams.from_table(priors, table, offsets)
+    return NaiveBayesParams(priors, table, offsets)
 
 
 def initial_params(data: FeatureMatrix, k: int, rng) -> NaiveBayesParams:
@@ -308,7 +261,7 @@ def fit(
 
 
 @dataclass(frozen=True, eq=False)
-class GeneratedSample:
+class GeneratedSample(ArrayValue):
     """Synthetic draw from the mixture model, with its generating tables.
     Equal by value; unhashable."""
 
@@ -316,14 +269,6 @@ class GeneratedSample:
     labels: np.ndarray
     priors: np.ndarray
     emissions: tuple[np.ndarray, ...]
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.matrix == other.matrix and _arrays_equal(
-            (self.labels, self.priors, *self.emissions),
-            (other.labels, other.priors, *other.emissions),
-        )
 
 
 def generate(

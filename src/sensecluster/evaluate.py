@@ -15,6 +15,7 @@ from functools import cache
 
 import numpy as np
 
+from ._value import ArrayValue
 from .corpus import WordSample, sense_distribution
 
 MAPPING_LIMIT = 12
@@ -23,7 +24,7 @@ CATEGORY_ORDER = ("adjective", "noun", "verb")
 
 
 @dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
+class ConfusionMatrix(ArrayValue):
     """Gold senses (rows) against discovered clusters (columns).
 
     Holds its own read-only copy of the counts; equal by value and
@@ -35,21 +36,13 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.counts, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
+        arr = self._hold("counts", np.int64)
         object.__setattr__(self, "senses", tuple(self.senses))
         object.__setattr__(self, "clusters", tuple(self.clusters))
         if arr.shape != (len(self.senses), len(self.clusters)):
             raise ValueError("counts shape does not match labels")
         if arr.size and arr.min() < 0:
             raise ValueError("counts must be non-negative")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        same = (self.senses, self.clusters) == (other.senses, other.clusters)
-        return same and np.array_equal(self.counts, other.counts)
 
     @property
     def n(self) -> int:

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._value import ArrayValue
 from .corpus import POS_TAGS, WordSample
 
 NONE_VALUE = "(none)"
@@ -159,7 +160,7 @@ class FeatureSchema:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMatrix:
+class FeatureMatrix(ArrayValue):
     """Extracted nominal values, one row per instance, as alphabet indices
     (a read-only copy). Equal by value; unhashable."""
 
@@ -167,20 +168,13 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        arr = self._hold("values", np.int64)
         if arr.ndim != 2 or arr.shape[1] != self.schema.q:
             raise ValueError("matrix shape does not match schema")
         for j, feat in enumerate(self.schema.features):
             col = arr[:, j]
             if col.size and (col.min() < 0 or col.max() >= feat.cardinality):
                 raise ValueError(f"value index out of alphabet for feature {feat.name}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.schema == other.schema and np.array_equal(self.values, other.values)
 
     @property
     def n(self) -> int:

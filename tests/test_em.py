@@ -80,13 +80,15 @@ HAND_ROWS = [[0, 1, 0], [1, 2, 1], [0, 0, 0], [1, 1, 1]]
 
 
 def hand_params():
-    return NaiveBayesParams(np.array(HAND_PRIORS), tuple(np.array(j) for j in HAND_JOINTS))
+    return NaiveBayesParams.from_joints(
+        np.array(HAND_PRIORS), tuple(np.array(j) for j in HAND_JOINTS)
+    )
 
 
 class TestEStep:
     def test_single_component_counts_are_observed_counts(self):
         data = make_matrix((3, 2), [[0, 1], [2, 0], [2, 1], [1, 1]])
-        params = NaiveBayesParams(
+        params = NaiveBayesParams.from_joints(
             np.array([1.0]),
             (np.array([[0.25, 0.25, 0.5]]), np.array([[0.25, 0.75]])),
         )
@@ -126,7 +128,7 @@ class TestEStep:
 
     def test_degenerate_likelihood_raises(self):
         # value 0 of the only feature carries zero mass in every component
-        params = NaiveBayesParams(
+        params = NaiveBayesParams.from_joints(
             np.array([0.5, 0.5]),
             (np.array([[0.0, 0.5], [0.0, 0.5]]),),
         )
@@ -136,7 +138,7 @@ class TestEStep:
 
 class TestMStep:
     def test_single_sense_prior_is_one(self):
-        counts = ExpectedCounts(
+        counts = ExpectedCounts.from_value_counts(
             np.array([4.0]),
             (np.array([[1.0, 3.0]]),),
             np.ones((4, 1)),
@@ -146,7 +148,7 @@ class TestMStep:
         assert params.priors[0] == pytest.approx(1.0)
 
     def test_priors_are_count_fractions(self):
-        counts = ExpectedCounts(
+        counts = ExpectedCounts.from_value_counts(
             np.array([30.0, 70.0]),
             (np.array([[10.0, 20.0], [30.0, 40.0]]),),
             np.zeros((100, 2)),
@@ -166,7 +168,7 @@ class TestMStep:
             assert np.allclose(new_params.joints[j], np.array(value[j]) / n, atol=1e-9)
 
     def test_inconsistent_counts_rejected(self):
-        counts = ExpectedCounts(
+        counts = ExpectedCounts.from_value_counts(
             np.array([1.0, 1.0]), (np.array([[0.5, 0.5], [0.5, 0.5]]),),
             np.zeros((4, 2)), 0.0,
         )
@@ -239,7 +241,7 @@ class TestFit:
         schema = make_schema((3, 4, 2))
         sample = generate(2, schema, 80, 0.8, seed=3)
         start = initial_params(sample.matrix, 2, np.random.default_rng(21))
-        swapped = NaiveBayesParams(
+        swapped = NaiveBayesParams.from_joints(
             start.priors[::-1].copy(),
             tuple(j[::-1].copy() for j in start.joints),
         )
@@ -312,13 +314,23 @@ class TestValueEquality:
         data = make_matrix(HAND_CARDS, HAND_ROWS)
         params = hand_params()
         assert params == hand_params()
-        assert params != NaiveBayesParams(np.array([0.5, 0.5]), HAND_JOINTS)
+        assert params != NaiveBayesParams.from_joints(np.array([0.5, 0.5]), HAND_JOINTS)
         counts = e_step(params, data)
         assert counts == e_step(hand_params(), data)
         assert counts != e_step(m_step(counts, data.n), data)
         for value in (params, counts):
             with pytest.raises(TypeError, match="unhashable"):
                 hash(value)
+
+    def test_holds_its_own_copy(self):
+        priors = np.array(HAND_PRIORS)
+        params = NaiveBayesParams.from_joints(priors, HAND_JOINTS)
+        table = params.table.copy()
+        stacked = NaiveBayesParams(priors, table, params.offsets)
+        priors[0] = table[0, 0] = 0.9
+        assert params == stacked == hand_params()
+        for held in (params.priors, params.table, stacked.priors, stacked.table):
+            assert not held.flags.writeable
 
     def test_results_and_samples_equal_by_value_and_unhashable(self):
         schema = make_schema(HAND_CARDS)

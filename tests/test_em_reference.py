@@ -78,7 +78,7 @@ def test_steps_match_reference_from_hand_built_params():
         priors[:, None] * rng.dirichlet(np.ones(card), size=k)
         for card in data.schema.cardinalities
     ]
-    got = em.e_step(em.NaiveBayesParams(priors, tuple(joints)), data)
+    got = em.e_step(em.NaiveBayesParams.from_joints(priors, tuple(joints)), data)
     expected = reference.e_step(reference.NaiveBayesParams(priors, tuple(joints)), data)
     assert got.posteriors.tobytes() == expected.posteriors.tobytes()
     assert got.loglik == expected.loglik
