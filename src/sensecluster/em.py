@@ -24,6 +24,7 @@ match it bit for bit.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .features import FeatureMatrix, FeatureSchema
 PROB_FLOOR = 1e-12
 
 
-def _stack(tables, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _stack(tables, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """One (sum of cardinalities, k) table from per-feature (k, cardinality)
     tables, and the row offsets of each feature."""
     blocks = []
@@ -42,11 +43,11 @@ def _stack(tables, k: int) -> tuple[np.ndarray, np.ndarray]:
         if table.ndim != 2 or table.shape[0] != k:
             raise ValueError("joint table shape does not match number of classes")
         blocks.append(table.T)
-    offsets = np.cumsum([0] + [block.shape[0] for block in blocks])
+    offsets = tuple(accumulate((block.shape[0] for block in blocks), initial=0))
     return (np.concatenate(blocks) if blocks else np.empty((0, k))), offsets
 
 
-def _split(table: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+def _split(table: np.ndarray, offsets: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Per-feature (k, cardinality) views of a stacked table."""
     return tuple(table[a:b].T for a, b in zip(offsets[:-1], offsets[1:]))
 
@@ -62,7 +63,7 @@ class NaiveBayesParams(ArrayValue):
 
     priors: np.ndarray
     table: np.ndarray
-    offsets: np.ndarray
+    offsets: tuple[int, ...]
 
     def __post_init__(self):
         self._hold("priors", np.float64)
@@ -110,7 +111,7 @@ class ExpectedCounts(ArrayValue):
 
     sense_counts: np.ndarray
     table: np.ndarray
-    offsets: np.ndarray
+    offsets: tuple[int, ...]
     posteriors: np.ndarray
     loglik: float
 

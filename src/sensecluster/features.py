@@ -29,6 +29,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -150,13 +151,11 @@ class FeatureSchema:
         return tuple(f.cardinality for f in self.features)
 
     @cached_property
-    def offsets(self) -> np.ndarray:
+    def offsets(self) -> tuple[int, ...]:
         """Where each feature's values start in a table with one row per
         (feature, value) pair, features in order; the last entry is the
-        table's row count (read-only, length q + 1)."""
-        offsets = np.cumsum((0,) + self.cardinalities)
-        offsets.setflags(write=False)
-        return offsets
+        table's row count (length q + 1)."""
+        return tuple(accumulate(self.cardinalities, initial=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +187,7 @@ class FeatureMatrix(ArrayValue):
     def table_rows(self) -> np.ndarray:
         """Each value shifted by its feature's ``schema.offsets`` entry: its
         row in the one-row-per-(feature, value) table (read-only, n x q)."""
-        rows = self.values + self.schema.offsets[:-1]
+        rows = self.values + np.array(self.schema.offsets[:-1], dtype=np.int64)
         rows.setflags(write=False)
         return rows
 

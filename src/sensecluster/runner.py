@@ -5,8 +5,10 @@ agglomerative method is configured, its mismatch matrix are built once
 and shared by every configured algorithm. Each algorithm executes a
 fixed number of independently seeded trials, maps each trial's clusters
 to the gold senses, and the runner writes per-trial results, a
-mean-and-std table with per-category rollups, and confusion matrices
-for a designated trial. Trial seeds are derived from the master seed
+mean-and-std table, and confusion matrices for a designated trial. The
+table's per-category and overall rows are ``evaluate.category_rollup``
+of each column. All outputs are written in one pass over the cells, in
+grid order. Trial seeds are derived from the master seed
 and the (word, set, algorithm, trial) key, so every cell is
 reproducible in isolation and results are identical at any parallelism
 level.
@@ -14,7 +16,6 @@ level.
 
 import configparser
 import hashlib
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .evaluate import (
     TrialReport,
     aggregate,
     best_mapping,
+    category_rollup,
     confusion_from_labels,
     format_confusion,
     majority_classifier,
@@ -74,40 +76,54 @@ class ExperimentConfig:
             raise ValueError("report_trial must name one of the trials")
 
 
+# (section, key) -> (ExperimentConfig field, reader of the value text); a
+# value read as a Path resolves against the config file's directory
+_CONFIG_KEYS = {
+    ("experiment", "feature_sets"): ("feature_sets", str.split),
+    ("experiment", "algorithms"): ("algorithms", str.split),
+    ("experiment", "trials"): ("trials", int),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "output"): ("output_dir", Path),
+    ("experiment", "report_trial"): ("report_trial", int),
+    ("em", "max_iter"): ("em_max_iter", int),
+    ("em", "tol"): ("em_tol", float),
+    ("stopwords", "path"): ("stopwords_path", Path),
+}
+_CONFIG_SECTIONS = {"corpora"} | {section for section, _ in _CONFIG_KEYS}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read the declarative INI config; relative paths resolve against it."""
+    """Read the declarative INI config; relative paths resolve against it.
+
+    Every section other than ``[corpora]`` (one ``word = path`` per corpus)
+    is read through ``_CONFIG_KEYS``; an unknown section or key is an error.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
     base = Path(path).resolve().parent
 
+    if parser.defaults():  # they would leak into [corpora] as words
+        raise ValueError("unknown config section [DEFAULT]")
     if "corpora" not in parser:
         raise ValueError("config must have a [corpora] section")
     corpora = {w: str((base / p).resolve()) for w, p in parser["corpora"].items()}
-
-    exp = parser["experiment"] if "experiment" in parser else {}
     kwargs = {"corpora": corpora}
-    if "feature_sets" in exp:
-        kwargs["feature_sets"] = tuple(exp["feature_sets"].split())
-    if "algorithms" in exp:
-        kwargs["algorithms"] = tuple(exp["algorithms"].split())
-    if "trials" in exp:
-        kwargs["trials"] = int(exp["trials"])
-    if "seed" in exp:
-        kwargs["seed"] = int(exp["seed"])
-    if "output" in exp:
-        kwargs["output_dir"] = str((base / exp["output"]).resolve())
-    if "report_trial" in exp:
-        kwargs["report_trial"] = int(exp["report_trial"])
-    if "em" in parser:
-        sec = parser["em"]
-        if "max_iter" in sec:
-            kwargs["em_max_iter"] = int(sec["max_iter"])
-        if "tol" in sec:
-            kwargs["em_tol"] = float(sec["tol"])
-    if "stopwords" in parser and "path" in parser["stopwords"]:
-        kwargs["stopwords_path"] = str((base / parser["stopwords"]["path"]).resolve())
+    for section in parser.sections():
+        if section not in _CONFIG_SECTIONS:
+            raise ValueError(f"unknown config section [{section}]")
+        if section == "corpora":
+            continue
+        for key, text in parser[section].items():
+            if (section, key) not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key [{section}] {key}")
+            name, reader = _CONFIG_KEYS[section, key]
+            try:
+                value = reader(text)
+            except ValueError as exc:
+                raise ValueError(f"config key [{section}] {key}: {exc}") from None
+            kwargs[name] = str((base / value).resolve()) if isinstance(value, Path) else value
     return ExperimentConfig(**kwargs)
 
 
@@ -199,8 +215,8 @@ def _fmt2(x: float) -> str:
     return f"{x:.2f}".lstrip("0") or "0"
 
 
-def _mean_text(values) -> str:
-    return _fmt3(math.fsum(values) / len(values)) if values else "-"
+def _rollup_text(x) -> str:
+    return "-" if x is None else _fmt3(x)
 
 
 def _summary_table(config, samples, cells, stats) -> str:
@@ -233,11 +249,14 @@ def _summary_table(config, samples, cells, stats) -> str:
 
     header = ["word", "Maj"] + [f"{s}/{a}" for s, a in columns]
     rows = [header]
-    # per column (Maj first): the mean of each category that has values;
-    # overall is their unweighted mean, as evaluate.category_rollup defines it
-    cat_means = [[] for _ in header[1:]]
+    # per column (Maj first): the category and overall means of the words
+    # that have a value in it; a column with no values reads "-"
+    column_values = [maj] + [
+        {w: stats[w, s, a].mean for w in samples if (w, s, a) in stats} for s, a in columns
+    ]
+    rollups = [category_rollup(v, categories) if v else ({}, None) for v in column_values]
     for cat in CATEGORY_ORDER:
-        words = [w for w in config.corpora if categories.get(w) == cat]
+        words = [w for w in samples if categories[w] == cat]
         if not words:
             continue
         for word in words:
@@ -245,14 +264,8 @@ def _summary_table(config, samples, cells, stats) -> str:
                 [word, _fmt3(maj[word]) if word in maj else "-"]
                 + [cell_text((word, s, a)) for s, a in columns]
             )
-        values = [[maj[w] for w in words if w in maj]] + [
-            [stats[w, s, a].mean for w in words if (w, s, a) in stats] for s, a in columns
-        ]
-        rows.append([cat] + [_mean_text(v) for v in values])
-        for means, v in zip(cat_means, values):
-            if v:
-                means.append(math.fsum(v) / len(v))
-    rows.append(["overall"] + [_mean_text(means) for means in cat_means])
+        rows.append([cat] + [_rollup_text(means.get(cat)) for means, _ in rollups])
+    rows.append(["overall"] + [_rollup_text(overall) for _, overall in rollups])
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []
@@ -292,14 +305,16 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
     cells = [cell for unit_cells in per_unit for cell in unit_cells]
 
     failed = [(word, "*", "*", err) for word, err in preload_errors.items()]
-    failed += [(*cell.key, cell.error) for cell in cells if cell.error is not None]
-
-    stats = {
-        cell.key: aggregate(cell.reports) for cell in cells if cell.error is None and cell.reports
-    }
+    stats = {}
     results_lines = ["word,set,algorithm,trial,seed,accuracy,n,k"]
+    agg_lines = ["word,set,algorithm,trials,mean,std"]
+    confusion_dir = outdir / "confusion"
+    assign_dir = outdir / "assignments"
+    if config.dump_clusters:
+        assign_dir.mkdir(exist_ok=True)
     for cell in cells:
         if cell.error is not None:
+            failed.append((*cell.key, cell.error))
             continue
         sample = samples[cell.word]
         for rep in cell.reports:
@@ -307,34 +322,18 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
                 f"{rep.word},{rep.feature_set},{rep.algorithm},{rep.trial},"
                 f"{rep.seed},{rep.accuracy!r},{sample.n},{sample.k}"
             )
-    agg_lines = ["word,set,algorithm,trials,mean,std"] + [
-        f"{word},{set_id},{alg},{agg.trials},{agg.mean!r},{agg.std!r}"
-        for (word, set_id, alg), agg in stats.items()
-    ]
+        if cell.reports:
+            agg = stats[cell.key] = aggregate(cell.reports)
+            agg_lines.append(f"{','.join(cell.key)},{agg.trials},{agg.mean!r},{agg.std!r}")
+            confusion_dir.mkdir(exist_ok=True)
+            rep = cell.reports[config.report_trial]
+            text = format_confusion(rep.confusion, rep.mapping, cell.algorithm)
+            (confusion_dir / f"{'_'.join(cell.key)}.txt").write_text(text, encoding="utf-8")
+        for t, assignment in enumerate(cell.assignments):
+            text = " ".join(str(int(c)) for c in assignment) + "\n"
+            (assign_dir / f"{'_'.join(cell.key)}_t{t}.txt").write_text(text, encoding="utf-8")
     (outdir / "results.csv").write_text("\n".join(results_lines) + "\n", encoding="utf-8")
     (outdir / "aggregates.csv").write_text("\n".join(agg_lines) + "\n", encoding="utf-8")
-
-    confusion_dir = outdir / "confusion"
-    for cell in cells:
-        if cell.key not in stats:
-            continue
-        confusion_dir.mkdir(exist_ok=True)
-        rep = cell.reports[config.report_trial]
-        text = format_confusion(rep.confusion, rep.mapping, cell.algorithm)
-        name = f"{cell.word}_{cell.set_id}_{cell.algorithm}.txt"
-        (confusion_dir / name).write_text(text, encoding="utf-8")
-
-    if config.dump_clusters:
-        assign_dir = outdir / "assignments"
-        assign_dir.mkdir(exist_ok=True)
-        for cell in cells:
-            if cell.error is not None:
-                continue
-            for t, assignment in enumerate(cell.assignments):
-                name = f"{cell.word}_{cell.set_id}_{cell.algorithm}_t{t}.txt"
-                text = " ".join(str(int(c)) for c in assignment) + "\n"
-                (assign_dir / name).write_text(text, encoding="utf-8")
-
     (outdir / "summary.txt").write_text(
         _summary_table(config, samples, cells, stats), encoding="utf-8"
     )

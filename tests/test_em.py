@@ -332,6 +332,16 @@ class TestValueEquality:
         for held in (params.priors, params.table, stacked.priors, stacked.table):
             assert not held.flags.writeable
 
+    def test_stacked_offsets_are_an_int_tuple(self):
+        params = hand_params()
+        counts = ExpectedCounts.from_value_counts(
+            np.array([2.0, 2.0]), params.joints, np.full((4, 2), 0.5), 0.0
+        )
+        for value in (params, counts, e_step(params, make_matrix(HAND_CARDS, HAND_ROWS))):
+            assert value.offsets == (0, 2, 5, 7)
+            assert type(value.offsets) is tuple
+            assert all(type(o) is int for o in value.offsets)
+
     def test_results_and_samples_equal_by_value_and_unhashable(self):
         schema = make_schema(HAND_CARDS)
         sample = generate(2, schema, 40, separation=0.6, seed=5)

@@ -1,6 +1,8 @@
 """Feature schema construction, extraction and dimensionality."""
 
 import math
+import pickle
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -322,6 +324,16 @@ class TestFeatureMatrixCopy:
         assert matrix != extract(sample, build_schema(sample, "C"))
         with pytest.raises(TypeError, match="unhashable"):
             hash(matrix)
+
+    def test_offsets_stay_an_int_tuple_through_pickling(self):
+        sample = random_sample(np.random.default_rng(3), n=6)
+        matrix = extract(sample, build_schema(sample, "A"))
+        matrix.table_rows  # computes and caches schema.offsets
+        copy = pickle.loads(pickle.dumps(matrix))
+        for offsets in (matrix.schema.offsets, copy.schema.offsets):
+            assert type(offsets) is tuple and all(type(o) is int for o in offsets)
+        assert copy.schema.offsets == (0,) + tuple(accumulate(matrix.schema.cardinalities))
+        assert (copy.table_rows == matrix.table_rows).all()
 
 
 class TestDimensionality:

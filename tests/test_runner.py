@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sensecluster import dissim, em, runner
+from sensecluster import agglom, dissim, em, runner
 from sensecluster.corpus import save_corpus
+from sensecluster.evaluate import category_rollup, majority_classifier
 from sensecluster.runner import ExperimentConfig, load_config, run, trial_seed
 
 from conftest import random_sample, synth_sample
@@ -64,9 +65,12 @@ class TestConfig:
             "trials = 3\n"
             "seed = 99\n"
             "output = out\n"
+            "report_trial = 2\n"
             "[em]\n"
             "max_iter = 50\n"
             "tol = 1e-5\n"
+            "[stopwords]\n"
+            "path = lists/stop.txt\n"
             "[corpora]\n"
             "alpha = alpha.jsonl\n"
             "beta = beta.jsonl\n"
@@ -80,8 +84,10 @@ class TestConfig:
         assert config.seed == 99
         assert config.em_max_iter == 50
         assert config.em_tol == 1e-5
-        assert config.corpora["alpha"].endswith("alpha.jsonl")
-        assert config.output_dir.endswith("out")
+        assert config.report_trial == 2
+        assert config.corpora["alpha"] == str((base / "alpha.jsonl").resolve())
+        assert config.output_dir == str((base / "out").resolve())
+        assert config.stopwords_path == str((base / "lists" / "stop.txt").resolve())
 
     def test_inline_comments_in_config(self, corpus_dir):
         base, _ = corpus_dir
@@ -97,6 +103,26 @@ class TestConfig:
         config = load_config(cfg_path)
         assert config.trials == 4
         assert config.output_dir.endswith("out")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[experiment]\ntrails = 5\n", r"unknown config key \[experiment\] trails"),
+            ("[em]\nmax_iter = 5\ntolerance = 0\n", r"unknown config key \[em\] tolerance"),
+            ("[stopword]\npath = stop.txt\n", r"unknown config section \[stopword\]"),
+            ("[stopword]\n", r"unknown config section \[stopword\]"),
+            ("[DEFAULT]\ntrials = 3\n", r"unknown config section \[DEFAULT\]"),
+            ("[experiment]\ntrials = five\n", r"config key \[experiment\] trials: invalid"),
+            ("[em]\ntol = small\n", r"config key \[em\] tol: could not convert"),
+        ],
+        ids=["key", "em-key", "section", "empty-section", "default", "int-value", "float-value"],
+    )
+    def test_unknown_or_unreadable_keys_are_errors(self, corpus_dir, text, message):
+        base, _ = corpus_dir
+        cfg_path = base / "exp.ini"
+        cfg_path.write_text(text + "[corpora]\nalpha = alpha.jsonl\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_config(cfg_path)
 
     def test_trial_seed_is_stable_and_distinct(self):
         s = trial_seed(7, "alpha", "A", "mcquitty", 0)
@@ -361,6 +387,55 @@ class TestRun:
         # every word row marks at least its best experiment
         assert all("*" in line for line in table if line.split()[0] in ("alpha", "beta"))
         assert lines[-1].startswith("*")
+
+    def test_summary_rollups_with_partial_columns(self, corpus_dir, tmp_path, monkeypatch):
+        base, _ = corpus_dir
+        samples = {
+            "alpha": synth_sample("alpha", "noun", n=18, seed=1),
+            "gamma": synth_sample("gamma", "noun", n=20, seed=3),
+            "beta": synth_sample("beta", "verb", n=16, seed=2),
+        }
+        save_corpus(samples["gamma"], base / "gamma.jsonl")
+        paths = {w: str(base / f"{w}.jsonl") for w in samples}
+
+        def failing_for(original, n, size):
+            def wrapper(data, *args, **kwargs):
+                if size(data) == n:
+                    raise RuntimeError("broken")
+                return original(data, *args, **kwargs)
+
+            return wrapper
+
+        # gamma's mcquitty cell and beta's em cell fail: the noun rollup of
+        # A/mcquitty has one word and the verb rollup of A/em has none
+        monkeypatch.setattr(agglom, "mcquitty", failing_for(agglom.mcquitty, 20, lambda d: d.n))
+        monkeypatch.setattr(em, "fit", failing_for(em.fit, 16, lambda m: m.n))
+        outdir = tmp_path / "out"
+        config = make_config(paths, outdir, algorithms=("mcquitty", "em"), em_max_iter=50)
+        assert run(config) == 1
+
+        columns = ["A/mcquitty", "A/em"]
+        means = {c: {} for c in columns}
+        for row in (outdir / "aggregates.csv").read_text().split()[1:]:
+            word, set_id, alg, _, mean, _ = row.split(",")
+            means[f"{set_id}/{alg}"][word] = float(mean)
+        assert set(means["A/mcquitty"]) == {"alpha", "beta"}
+        assert set(means["A/em"]) == {"alpha", "gamma"}
+        means["Maj"] = {w: majority_classifier(sample)[1] for w, sample in samples.items()}
+
+        lines = (outdir / "summary.txt").read_text().split("\n")
+        table = {line.split()[0]: line.split()[1:] for line in lines[1 : lines.index("")]}
+        assert lines[0].split()[1:] == ["Maj"] + columns
+        categories = {w: sample.category for w, sample in samples.items()}
+        expected = {"noun": [], "verb": [], "overall": []}
+        for column in ["Maj"] + columns:
+            cat_means, overall = category_rollup(means[column], categories)
+            for cat in ("noun", "verb"):
+                expected[cat].append(f"{cat_means[cat]:.3f}".lstrip("0") if cat in cat_means else "-")
+            expected["overall"].append(f"{overall:.3f}".lstrip("0"))
+        assert {row: table[row] for row in expected} == expected
+        assert expected["verb"][2] == "-"
+        assert table["gamma"][1] == table["beta"][2] == "FAILED"
 
     def test_confusion_file_for_designated_trial(self, corpus_dir, tmp_path):
         _, paths = corpus_dir
