@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from . import agglom, dissim, em
-from .corpus import CorpusError, load_corpus
+from .corpus import CATEGORIES, CorpusError, load_corpus
 from .evaluate import ConfusionMatrix, best_mapping, format_confusion
-from .features import build_schema, dimensionality, extract, format_matrix, load_stopwords
-from .runner import load_config, run
+from .features import FEATURE_SETS, build_schema, dimensionality, extract
+from .features import format_matrix, load_stopwords
+from .runner import AGGLOMERATIVE, load_config, run
 
 
 def _write(text: str, out: str | None) -> None:
@@ -111,8 +112,8 @@ def cmd_dim(args) -> int:
         raise ValueError("dim needs both --set and --category, or neither")
     else:
         print("set  category   dimensionality")
-        for set_id in ("A", "B", "C"):
-            for category in ("adjective", "noun", "verb"):
+        for set_id in FEATURE_SETS:
+            for category in CATEGORIES:
                 print(f"{set_id}    {category:<10} {dimensionality(set_id, category)}")
     return 0
 
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def corpus_opts(p):
         p.add_argument("--corpus", required=True, help="corpus file (JSON lines)")
-        p.add_argument("--set", required=True, choices=["A", "B", "C"], help="feature set")
+        p.add_argument("--set", required=True, choices=tuple(FEATURE_SETS), help="feature set")
         p.add_argument("--stopwords", help="stopword list, one word per line")
         p.add_argument("-o", "--output", help="write to file instead of stdout")
 
@@ -148,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dissim)
 
     p = sub.add_parser("cluster", help="agglomerative clustering (Ward or McQuitty)")
-    p.add_argument("--alg", required=True, choices=["mcquitty", "ward"])
+    p.add_argument("--alg", required=True, choices=AGGLOMERATIVE)
     p.add_argument("--k", type=int, help="number of clusters (default: sense count)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matrix", help="dissimilarity matrix file instead of a corpus")
     p.add_argument("--corpus")
-    p.add_argument("--set", choices=["A", "B", "C"])
+    p.add_argument("--set", choices=tuple(FEATURE_SETS))
     p.add_argument("--stopwords")
     p.add_argument("--trace", action="store_true", help="append the merge trace")
     p.add_argument("-o", "--output")
@@ -174,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("dim", help="feature-space dimensionality")
-    p.add_argument("--set", choices=["A", "B", "C"])
-    p.add_argument("--category", choices=["adjective", "noun", "verb"])
+    p.add_argument("--set", choices=tuple(FEATURE_SETS))
+    p.add_argument("--category", choices=CATEGORIES)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("run", help="run the experiment grid from a config file")

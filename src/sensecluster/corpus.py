@@ -6,13 +6,18 @@ word, its part-of-speech category and the ordered sense inventory; each
 following record is one occurrence with its tokenized, POS-tagged
 sentence, the target position, a morphology tag and an optional gold
 sense used only for evaluation.
+
+This module owns the word categories: ``CATEGORIES`` in the order reports
+list them, and ``MORPH_CATEGORIES``, those whose instances carry a morph
+tag (adjectives carry none, so their feature sets have no M feature).
 """
 
 import json
 from dataclasses import dataclass
 
 POS_TAGS = ("noun", "verb", "adjective", "adverb", "other")
-CATEGORIES = ("noun", "verb", "adjective")
+CATEGORIES = ("adjective", "noun", "verb")
+MORPH_CATEGORIES = ("noun", "verb")
 
 
 class CorpusError(ValueError):
@@ -93,7 +98,7 @@ class WordSample:
             raise ValueError("sense inventory must declare at least 2 senses")
         if len(set(self.sense_inventory)) != len(self.sense_inventory):
             raise ValueError("duplicate sense in inventory")
-        needs_morph = self.category in ("noun", "verb")
+        needs_morph = self.category in MORPH_CATEGORIES
         for i, inst in enumerate(self.instances):
             if inst.gold_sense is not None and inst.gold_sense not in self.sense_inventory:
                 raise ValueError(
@@ -172,7 +177,7 @@ def _parse_instance(rec, lineno, category, senses) -> Instance:
     morph = rec.get("morph", "")
     if not isinstance(morph, str):
         raise CorpusError("morph must be a string", line=lineno)
-    if category in ("noun", "verb") and not morph:
+    if category in MORPH_CATEGORIES and not morph:
         raise CorpusError(f"missing morph tag for {category}", line=lineno)
     sense = rec.get("sense")
     if sense is not None:

@@ -9,6 +9,7 @@ small integers; intended for N up to a few thousand.
 The counts come from one matrix product: with H the one-hot encoding of
 every instance's (feature, value) pairs, H H^T counts the features on
 which two instances agree, and q minus it those on which they differ.
+Every matrix, ``build``'s own included, passes the constructor's checks.
 """
 
 from dataclasses import dataclass
@@ -37,15 +38,6 @@ class DissimilarityMatrix(ArrayValue):
             raise ValueError("mismatch counts must be non-negative")
         self._hold("cells", np.int32)
 
-    @classmethod
-    def _trusted(cls, cells: np.ndarray) -> "DissimilarityMatrix":
-        """Wrap counts that are square, symmetric, non-negative and zero on
-        the diagonal by construction, without checking them again."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "cells", cells)
-        d._hold("cells", np.int32)
-        return d
-
     @property
     def n(self) -> int:
         return self.cells.shape[0]
@@ -62,7 +54,7 @@ def build(matrix: FeatureMatrix) -> DissimilarityMatrix:
     onehot[np.arange(n)[:, None], matrix.table_rows] = 1.0
     cells = onehot @ onehot.T
     np.subtract(matrix.q, cells, out=cells)
-    return DissimilarityMatrix._trusted(cells)
+    return DissimilarityMatrix(cells)
 
 
 def row_vectors(d: DissimilarityMatrix) -> np.ndarray:

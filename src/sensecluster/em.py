@@ -105,8 +105,8 @@ class ExpectedCounts(ArrayValue):
     log-likelihood of the parameters that produced them.
 
     ``table`` is laid out as ``NaiveBayesParams.table``; ``value_counts[j]``
-    is the (k, cardinality) view of feature j's rows. Equal by value;
-    unhashable.
+    is the (k, cardinality) view of feature j's rows. Holds its own
+    read-only copies of the arrays; equal by value and unhashable.
     """
 
     sense_counts: np.ndarray
@@ -114,6 +114,10 @@ class ExpectedCounts(ArrayValue):
     offsets: tuple[int, ...]
     posteriors: np.ndarray
     loglik: float
+
+    def __post_init__(self):
+        for name in ("sense_counts", "table", "posteriors"):
+            self._hold(name, np.float64)
 
     @classmethod
     def from_value_counts(cls, sense_counts, value_counts, posteriors, loglik) -> "ExpectedCounts":
@@ -128,8 +132,8 @@ class ExpectedCounts(ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class EmResult(ArrayValue):
-    """A fitted mixture with its posteriors and run record. Equal by value;
-    unhashable."""
+    """A fitted mixture with its posteriors and run record. Holds its own
+    read-only copies of the arrays; equal by value and unhashable."""
 
     params: NaiveBayesParams
     posteriors: np.ndarray
@@ -137,6 +141,10 @@ class EmResult(ArrayValue):
     loglik_trace: tuple[float, ...]
     iterations: int
     converged: bool
+
+    def __post_init__(self):
+        self._hold("posteriors", np.float64)
+        self._hold("assignment", np.int64)
 
 
 def _accumulate(posteriors: np.ndarray, data: FeatureMatrix, loglik: float) -> ExpectedCounts:
@@ -264,12 +272,21 @@ def fit(
 @dataclass(frozen=True, eq=False)
 class GeneratedSample(ArrayValue):
     """Synthetic draw from the mixture model, with its generating tables.
-    Equal by value; unhashable."""
+    Holds its own read-only copies of the arrays; equal by value and
+    unhashable."""
 
     matrix: FeatureMatrix
     labels: np.ndarray
     priors: np.ndarray
     emissions: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        self._hold("labels", np.int64)
+        self._hold("priors", np.float64)
+        emissions = tuple(np.array(table, dtype=np.float64) for table in self.emissions)
+        for table in emissions:
+            table.setflags(write=False)
+        object.__setattr__(self, "emissions", emissions)
 
 
 def generate(

@@ -16,11 +16,9 @@ from functools import cache
 import numpy as np
 
 from ._value import ArrayValue
-from .corpus import WordSample, sense_distribution
+from .corpus import CATEGORIES, WordSample, sense_distribution
 
 MAPPING_LIMIT = 12
-
-CATEGORY_ORDER = ("adjective", "noun", "verb")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +181,12 @@ def category_rollup(values: dict[str, float], categories: dict[str, str]):
             cat = categories[word]
         except KeyError:
             raise ValueError(f"no category for word {word!r}") from None
-        if cat not in CATEGORY_ORDER:
+        if cat not in CATEGORIES:
             raise ValueError(f"unknown category {cat!r}")
         groups.setdefault(cat, []).append(value)
     cat_means = {
         cat: math.fsum(groups[cat]) / len(groups[cat])
-        for cat in CATEGORY_ORDER
+        for cat in CATEGORIES
         if cat in groups
     }
     overall = math.fsum(cat_means.values()) / len(cat_means)

@@ -34,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from ._value import ArrayValue
-from .corpus import POS_TAGS, WordSample
+from .corpus import CATEGORIES, MORPH_CATEGORIES, POS_TAGS, WordSample
 
 NONE_VALUE = "(none)"
 NULL_VALUE = "(null)"
@@ -289,7 +289,7 @@ def build_schema(sample: WordSample, set_id: str, stopwords=None) -> FeatureSche
     for name in FEATURE_SETS[set_id]:
         kind, offset, content_only = _DECODE[name]
         if kind == "morph":
-            if sample.category == "adjective":
+            if sample.category not in MORPH_CATEGORIES:
                 continue
             morphs = tuple(sorted({inst.morph for inst in sample.instances}))
             features.append(Feature(name, kind, morphs))
@@ -367,7 +367,7 @@ def dimensionality(set_id: str, category: str) -> int:
     set_id = set_id.upper()
     if set_id not in FEATURE_SETS:
         raise ValueError(f"unknown feature set {set_id!r}")
-    if category not in MORPH_CARDINALITY:
+    if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}")
     sizes = dict(
         morph=MORPH_CARDINALITY[category], pos=len(POS_TAGS), cooc=2, colloc=COLLOC_TOP + 2

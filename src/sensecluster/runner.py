@@ -17,15 +17,13 @@ level.
 import configparser
 import hashlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
 from . import agglom, dissim, em
-from .corpus import WordSample, load_corpus
+from .corpus import CATEGORIES, WordSample, load_corpus
 from .evaluate import (
-    CATEGORY_ORDER,
     TrialReport,
     aggregate,
     best_mapping,
@@ -37,13 +35,14 @@ from .evaluate import (
 )
 from .features import FEATURE_SETS, build_schema, extract, load_stopwords
 
-ALGORITHMS = ("mcquitty", "ward", "em")
+AGGLOMERATIVE = ("mcquitty", "ward")
+ALGORITHMS = (*AGGLOMERATIVE, "em")
 
 
 @dataclass
 class ExperimentConfig:
     corpora: dict[str, str]
-    feature_sets: tuple[str, ...] = ("A", "B", "C")
+    feature_sets: tuple[str, ...] = tuple(FEATURE_SETS)
     algorithms: tuple[str, ...] = ALGORITHMS
     trials: int = 25
     seed: int = 0
@@ -180,7 +179,7 @@ def _run_unit(
     for cell in cells:
         alg = cell.algorithm
         try:
-            if alg != "em" and d is None:
+            if alg in AGGLOMERATIVE and d is None:
                 d = dissim.build(matrix)
             # Ward's float64 copy of d lives only while Ward runs
             points = dissim.row_vectors(d) if alg == "ward" else None
@@ -255,7 +254,7 @@ def _summary_table(config, samples, cells, stats) -> str:
         {w: stats[w, s, a].mean for w in samples if (w, s, a) in stats} for s, a in columns
     ]
     rollups = [category_rollup(v, categories) if v else ({}, None) for v in column_values]
-    for cat in CATEGORY_ORDER:
+    for cat in CATEGORIES:
         words = [w for w in samples if categories[w] == cat]
         if not words:
             continue
@@ -298,6 +297,8 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
 
     units = [(w, sample, s) for w, sample in samples.items() for s in config.feature_sets]
     if jobs > 1 and len(units) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_unit = list(pool.map(_run_unit, repeat(config), *zip(*units)))
     else:

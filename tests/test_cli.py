@@ -1,8 +1,10 @@
 """Command-line interface surfaces."""
 
+import argparse
+
 import pytest
 
-from sensecluster.cli import main
+from sensecluster.cli import build_parser, main
 from sensecluster.corpus import save_corpus
 
 from conftest import synth_sample
@@ -25,13 +27,41 @@ class TestDim:
 
     def test_full_table(self, capsys):
         assert main(["dim"]) == 0
-        out = capsys.readouterr().out
-        for value in ("5000", "35000", "194481", "1361367", "275625", "1929375"):
-            assert value in out
+        assert capsys.readouterr().out == (
+            "set  category   dimensionality\n"
+            "A    adjective  5000\n"
+            "A    noun       10000\n"
+            "A    verb       35000\n"
+            "B    adjective  194481\n"
+            "B    noun       388962\n"
+            "B    verb       1361367\n"
+            "C    adjective  275625\n"
+            "C    noun       551250\n"
+            "C    verb       1929375\n"
+        )
 
     def test_half_specified_is_an_error(self, capsys):
         assert main(["dim", "--set", "B"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def _choices(command, option):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if option in a.option_strings)
+    return list(action.choices)
+
+
+class TestChoices:
+    @pytest.mark.parametrize("command", ["extract", "dissim", "cluster", "em", "dim"])
+    def test_feature_sets(self, command):
+        assert _choices(command, "--set") == ["A", "B", "C"]
+
+    def test_categories(self):
+        assert _choices("dim", "--category") == ["adjective", "noun", "verb"]
+
+    def test_cluster_algorithms(self):
+        assert _choices("cluster", "--alg") == ["mcquitty", "ward"]
 
 
 class TestEval:

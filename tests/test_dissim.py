@@ -121,9 +121,9 @@ class TestBuildAgainstRowLoop:
         self.check(random_matrix(rng, 120, rng.integers(1, 4, size=500)))
 
 
-class TestBuildSkipsValidation:
-    """``build`` stores its counts without the constructor's checks, so its
-    result must be exactly what the validated constructor would make."""
+class TestBuildValidates:
+    """``build`` makes its matrix through the checked constructor, like any
+    caller's matrix."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_the_validated_constructor(self, seed):
@@ -136,12 +136,17 @@ class TestBuildSkipsValidation:
         assert not d.cells.flags.writeable
         assert d.n == validated.n == matrix.n
 
-    def test_does_not_run_the_checks(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("build re-validated its own output")
+    def test_runs_the_constructor_checks(self, monkeypatch):
+        checked = []
+        post_init = DissimilarityMatrix.__post_init__
 
-        monkeypatch.setattr(DissimilarityMatrix, "__post_init__", refuse)
+        def spy(self):
+            checked.append(self.cells.shape)
+            post_init(self)
+
+        monkeypatch.setattr(DissimilarityMatrix, "__post_init__", spy)
         d = build(nominal_matrix(REFERENCE_VALUES))
+        assert checked == [(4, 4)]
         assert d.cells.tolist() == REFERENCE_MISMATCHES
 
 

@@ -332,6 +332,35 @@ class TestValueEquality:
         for held in (params.priors, params.table, stacked.priors, stacked.table):
             assert not held.flags.writeable
 
+    def test_counts_hold_their_own_copies(self):
+        sense_counts, posteriors = np.array([2.0, 2.0]), np.full((4, 2), 0.5)
+        counts = ExpectedCounts.from_value_counts(
+            sense_counts, hand_params().joints, posteriors, 0.0
+        )
+        sense_counts[0] = posteriors[0, 0] = 0.9
+        assert counts.sense_counts.tolist() == [2.0, 2.0]
+        assert counts.posteriors.tolist() == [[0.5, 0.5]] * 4
+        stepped = e_step(hand_params(), make_matrix(HAND_CARDS, HAND_ROWS))
+        for value in (counts, stepped):
+            for held in (value.sense_counts, value.table, value.posteriors):
+                assert not held.flags.writeable
+
+    def test_results_and_samples_hold_their_own_copies(self):
+        schema = make_schema(HAND_CARDS)
+        sample = generate(2, schema, 40, separation=0.6, seed=5)
+        result = fit(sample.matrix, 2, seed=1)
+        for held in (result.posteriors, result.assignment, sample.labels, sample.priors,
+                     *sample.emissions):
+            assert not held.flags.writeable
+        labels, priors = sample.labels.copy(), np.array([0.3, 0.7])
+        emissions = [table.copy() for table in sample.emissions]
+        copied = type(sample)(sample.matrix, labels, priors, tuple(emissions))
+        labels[0] = 1 - labels[0]
+        priors[0] = emissions[0][0, 0] = 0.0
+        assert copied.labels.tolist() == sample.labels.tolist()
+        assert copied.priors.tolist() == [0.3, 0.7]
+        assert copied.emissions[0][0, 0] == sample.emissions[0][0, 0] != 0.0
+
     def test_stacked_offsets_are_an_int_tuple(self):
         params = hand_params()
         counts = ExpectedCounts.from_value_counts(

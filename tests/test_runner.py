@@ -1,6 +1,9 @@
 """Experiment runner: grid execution, outputs, determinism."""
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +447,14 @@ class TestRun:
         text = (outdir / "confusion" / "alpha_A_mcquitty.txt").read_text()
         assert "mcquitty -" in text and "correct" in text
         assert "discovered" in text
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    src = str(Path(runner.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sensecluster.runner; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
