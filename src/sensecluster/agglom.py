@@ -22,16 +22,19 @@ Lance-Williams update: McQuitty's average, and for Ward
     c(IJ, K) = ((N_I+N_K) c(I,K) + (N_J+N_K) c(J,K) - N_K c(I,J)) / (N_I+N_J+N_K)
 
 starting from ||x_a - x_b||^2 / 2, so a merge costs O(m) instead of
-O(m N). For integer points, such as mismatch-count rows, that start is
-one matrix product, (||a||^2 + ||b||^2 - 2 a.b) / 2, exact in float64
-(see ``_half_sq_distances``). For Ward these values only choose the
-merges. The criterion a Ward merge records is recomputed from exact
-cluster means and the driver's sizes with the formula above: the
-recurrence rounds differently in the last bits (841.3125000000001
+O(m N). For integer points that start is one matrix product,
+(||a||^2 + ||b||^2 - 2 a.b) / 2, whose partial sums are all exact
+integers: in float32, a row block at a time, for integer-typed points
+such as the int32 mismatch-count rows, and in float64 for other points
+with integer values (see ``_half_sq_distances``). For Ward these values
+only choose the merges. The criterion a Ward merge records is recomputed
+from exact cluster means and the driver's sizes with the formula above:
+the recurrence rounds differently in the last bits (841.3125000000001
 against 841.3124999999998 in one case), which would change the six-digit
-merge trace. A singleton's mean is its own point; a merged cluster's
-mean is computed in O(N) when it forms and kept under its cluster id
-until it merges again, so no N x N copy of the points is made.
+merge trace. A singleton's mean is its own row of the points, read as
+float64 when it merges; a merged cluster's mean is computed in O(N) when
+it forms and kept under its cluster id until it merges again, so integer
+points, the runner's mismatch rows among them, get no float64 N x N copy.
 
 Both stop once k clusters remain. Pairs within 1e-9 of the minimum
 criterion count as tied and one is drawn uniformly with the seeded
@@ -74,7 +77,8 @@ CACHE_ABOVE = 150
 
 # Rows handled at once where a whole-matrix temporary would copy an
 # N x N array: the criterion rows gathered when tie counts are
-# recounted, and Ward's points checked for integer values.
+# recounted, Ward's float points checked for integer values, and the
+# rows of Ward's float32 init.
 ROW_BLOCK = 128
 
 
@@ -266,15 +270,31 @@ def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
     return _finish(n, merges, k, drawn)
 
 
+def _gram_bound(pts: np.ndarray) -> float:
+    """dim * (2 max|x|)^2, which bounds every partial sum of the
+    Gram-product distances of integer points (of a.b, and of
+    ||a||^2 + ||b||^2 - 2 a.b)."""
+    span = 2.0 * max(float(pts.max()), -float(pts.min())) if pts.size else 0.0
+    return pts.shape[1] * span * span
+
+
+def _float32_is_exact(pts: np.ndarray) -> bool:
+    """Whether float32 holds every partial sum of the Gram-product
+    distances exactly: integer-typed points with a ``_gram_bound`` below
+    2^24. Mismatch-count rows (N dimensions, entries at most q) meet it
+    while 4 N q^2 < 2^24."""
+    return np.issubdtype(pts.dtype, np.integer) and _gram_bound(pts) < 2.0**24
+
+
 def _gram_is_exact(pts: np.ndarray) -> bool:
-    """Whether every partial sum of the Gram-product distances is an
-    integer below 2^53: integer points with dim * (2 max|x|)^2 < 2^53.
+    """Whether float64 holds every partial sum of the Gram-product
+    distances exactly: points with integer values and a ``_gram_bound``
+    below 2^53.
 
     Checked ROW_BLOCK rows at a time, with no temporary the size of the
     points.
     """
-    span = 2.0 * max(float(pts.max()), -float(pts.min())) if pts.size else 0.0
-    if not pts.shape[1] * span * span < 2.0**53:
+    if not _gram_bound(pts) < 2.0**53:
         return False
     blocks = (pts[start : start + ROW_BLOCK] for start in range(0, pts.shape[0], ROW_BLOCK))
     return all(np.array_equal(block, np.rint(block)) for block in blocks)
@@ -293,20 +313,50 @@ def _gram_half_sq_distances(pts: np.ndarray) -> np.ndarray:
     return crit
 
 
-def _half_sq_distances(pts: np.ndarray) -> np.ndarray:
-    """||x_a - x_b||^2 / 2 for every pair, inf on the diagonal.
+def _float32_half_sq_distances(pts: np.ndarray) -> np.ndarray:
+    """``_gram_half_sq_distances`` of integer points within the bound of
+    ``_float32_is_exact``, from one float32 copy of the points, ROW_BLOCK
+    rows of the float64 result at a time, in the same order of
+    operations, so the values and the signs of zeros are the same."""
+    f32 = pts.astype(np.float32)
+    sq = np.einsum("ij,ij->i", f32, f32)
+    n = pts.shape[0]
+    crit = np.empty((n, n))
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        block = f32[rows] @ f32.T
+        block *= -2.0
+        block += sq[rows, None]
+        block += sq
+        block /= 2.0
+        crit[rows] = block
+    np.fill_diagonal(crit, np.inf)
+    return crit
 
-    Integer points within the bound of ``_gram_is_exact``, which every
-    mismatch-count row meets, take one Gram product. Each of its partial
-    sums (of a.b, and of ||a||^2 + ||b||^2 - 2 a.b, both at most
-    dim * (2 max|x|)^2) is then an integer that float64 holds exactly,
-    so the result is exact whatever order BLAS adds in and however many
-    threads it uses. On a 2-vCPU x86 host (numpy 2.4, OpenBLAS) that took
-    Ward at N=2000 from 5.1-5.2 s to 0.67-0.76 s, with the same merges.
-    Other points are differenced one row at a time over the upper
-    triangle, which gives the same values as differencing every row
-    against every other.
+
+def _half_sq_distances(pts: np.ndarray) -> np.ndarray:
+    """||x_a - x_b||^2 / 2 for every pair, as float64, inf on the diagonal.
+
+    Integer-typed points within the bound of ``_float32_is_exact``, such
+    as the int32 mismatch-count rows that ``dissim.row_vectors`` returns,
+    take the Gram product in float32, in row blocks, with no float64
+    copy of the points. Each of its partial sums is then an integer that
+    float32 holds exactly, so the result is exact whatever order BLAS
+    adds in and however many threads it uses. The row blocks keep the
+    float32 temporaries at one copy of the points: at N=600, a whole
+    float32 Gram matrix raised the benchmark process's peak RSS by about
+    1 MB, as the allocator kept its pages. Other integer points are
+    copied to float64 once. Points with integer values within the bound
+    of ``_gram_is_exact`` take one whole product in float64, exact for
+    the same reason; on a 2-vCPU x86 host (numpy 2.4, OpenBLAS) that
+    took Ward at N=2000 from 5.1-5.2 s to 0.67-0.76 s, with the same
+    merges. Other points are differenced one row at a time over the
+    upper triangle, which gives the same values as differencing every
+    row against every other.
     """
+    if _float32_is_exact(pts):
+        return _float32_half_sq_distances(pts)
+    pts = pts.astype(np.float64, copy=False)
     if _gram_is_exact(pts):
         return _gram_half_sq_distances(pts)
     n = pts.shape[0]
@@ -320,8 +370,14 @@ def _half_sq_distances(pts: np.ndarray) -> np.ndarray:
 
 
 def ward(points, k: int, seed=None) -> ClusterResult:
-    """Cluster points into k groups by Ward's minimum-variance criterion."""
-    pts = np.asarray(points, dtype=np.float64)
+    """Cluster points into k groups by Ward's minimum-variance criterion.
+
+    Integer-typed points are used as they are, without a float64 copy;
+    any other points are taken as float64.
+    """
+    pts = np.asarray(points)
+    if not np.issubdtype(pts.dtype, np.integer):
+        pts = pts.astype(np.float64, copy=False)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
     n = pts.shape[0]
@@ -331,7 +387,7 @@ def ward(points, k: int, seed=None) -> ClusterResult:
     merged_means = {}  # by cluster id, for merged clusters still active
 
     def mean(c):
-        return merged_means.pop(c) if c >= n else pts[c]
+        return merged_means.pop(c) if c >= n else pts[c].astype(np.float64, copy=False)
 
     def merge(i, j, sizes, left, right, new):
         ni, nj = sizes[i], sizes[j]

@@ -58,8 +58,12 @@ def build(matrix: FeatureMatrix) -> DissimilarityMatrix:
 
 
 def row_vectors(d: DissimilarityMatrix) -> np.ndarray:
-    """Each observation as its matrix row, a point in N-dimensional space."""
-    return d.cells.astype(np.float64)
+    """Each observation as its matrix row, a point in N-dimensional space.
+
+    Returns ``d.cells`` itself, the read-only int32 rows, with no copy;
+    ``agglom.ward`` takes them as they are.
+    """
+    return d.cells
 
 
 def format_triangle(d: DissimilarityMatrix) -> str:

@@ -181,7 +181,7 @@ def _run_unit(
         try:
             if alg in AGGLOMERATIVE and d is None:
                 d = dissim.build(matrix)
-            # Ward's float64 copy of d lives only while Ward runs
+            # Ward's points are d's read-only int32 rows themselves, not a copy
             points = dissim.row_vectors(d) if alg == "ward" else None
             for t in range(config.trials):
                 seed = trial_seed(config.seed, word, set_id, alg, t)

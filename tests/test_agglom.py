@@ -364,16 +364,138 @@ class TestHalfSqDistances:
     @pytest.mark.parametrize("dims", [4, 5])
     def test_integer_points_exact_at_float32_limit(self, dims):
         # |x| <= 1023 bounds a squared distance by dims * 2046^2, just
-        # under 2^24 at 4 dimensions (float32 path) and over it at 5
-        # (float64 path); rows 0 and 1 reach an odd sum near that bound,
-        # which float32 could not hold above 2^24
+        # under 2^24 at 4 dimensions (float32 path for integer-typed
+        # points) and over it at 5 (float64 path); rows 0 and 1 reach an
+        # odd sum near that bound, which float32 could not hold above 2^24
         rng = np.random.default_rng(dims)
-        points = rng.integers(-1023, 1024, size=(30, dims)).astype(np.float64)
-        points[0], points[1] = -1023.0, 1023.0
-        points[1, 0] = 1022.0
+        points = rng.integers(-1023, 1024, size=(30, dims))
+        points[0], points[1] = -1023, 1023
+        points[1, 0] = 1022
+        assert agglom._float32_is_exact(points) == (dims == 4)
+        for pts in (points, points.astype(np.float64)):
+            got = agglom._half_sq_distances(pts)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, self.brute(points))
+
+
+class TestFloat32Init:
+    """The float32 init of integer-typed points against the float64 path.
+
+    At 4 dimensions the bound dim * (2 max|x|)^2 < 2^24 holds up to
+    max|x| = 1023 and fails from 1024; at 64 dimensions uint8's full
+    range 0..255 is inside it, and at 65 it is not.
+    """
+
+    @staticmethod
+    def float64_path(points):
+        return agglom._half_sq_distances(points.astype(np.float64))
+
+    @staticmethod
+    def took_float32(points):
+        """``_half_sq_distances`` of the points, and whether it took the
+        float32 init."""
+        calls = []
+        init = agglom._float32_half_sq_distances
+
+        def spy(pts):
+            calls.append(pts.dtype)
+            return init(pts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom, "_float32_half_sq_distances", spy)
+            got = agglom._half_sq_distances(points)
+        return got, bool(calls)
+
+    @staticmethod
+    def edge_points(bound, dims=4, dtype=np.int64, n=2 * agglom.ROW_BLOCK + 9):
+        """Random points in [-bound, bound], rows 0 and 1 at opposite
+        corners and row 2 one off a corner, so the largest and an odd
+        near-largest squared distance both occur; more than two row
+        blocks."""
+        rng = np.random.default_rng(bound + dims)
+        points = rng.integers(-bound, bound + 1, size=(n, dims))
+        points[0], points[1], points[2] = -bound, bound, bound
+        points[2, 0] = bound - 1
+        return points.astype(dtype)
+
+    @staticmethod
+    def assert_bytes_equal(got, expected):
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
+    def test_just_inside_the_bound_takes_float32(self, dtype):
+        points = self.edge_points(1023, dtype=dtype)
+        assert agglom._float32_is_exact(points)
+        got, float32 = self.took_float32(points)
+        assert float32
+        self.assert_bytes_equal(got, self.float64_path(points))
+        assert np.array_equal(got, TestHalfSqDistances.brute(points))
+        assert got[0, 1] == 4 * 2046**2 / 2
+        assert got[1, 2] == 0.5
+        # an odd sum above 2^23, which needs all 24 bits of float32
+        assert got[0, 2] == (3 * 2046**2 + 2045**2) / 2
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
+    def test_at_the_bound_falls_back_to_float64(self, dtype):
+        points = self.edge_points(1024, dtype=dtype)
+        assert not agglom._float32_is_exact(points)
+        got, float32 = self.took_float32(points)
+        assert not float32
+        self.assert_bytes_equal(got, self.float64_path(points))
+        assert np.array_equal(got, TestHalfSqDistances.brute(points))
+
+    def test_a_negative_extreme_alone_breaks_the_bound(self):
+        points = np.zeros((5, 4), dtype=np.int32)
+        points[3, 1] = 1023
+        assert agglom._float32_is_exact(points)
+        points[3, 1] = -1024
+        assert not agglom._float32_is_exact(points)
+
+    @pytest.mark.parametrize("dims", [64, 65])
+    def test_uint8_full_range(self, dims):
+        rng = np.random.default_rng(dims)
+        points = rng.integers(0, 256, size=(150, dims), dtype=np.uint8)
+        points[0], points[1] = 0, 255
+        assert agglom._float32_is_exact(points) == (dims == 64)
+        got, float32 = self.took_float32(points)
+        assert float32 == (dims == 64)
+        self.assert_bytes_equal(got, self.float64_path(points))
+        assert got[0, 1] == dims * 255**2 / 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_integer_points(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dims = int(rng.integers(2, 300)), int(rng.integers(1, 80))
+        high = int(rng.integers(1, 200))
+        points = rng.integers(-high, high + 1, size=(n, dims), dtype=np.int32)
+        assert agglom._float32_is_exact(points)
+        self.assert_bytes_equal(agglom._half_sq_distances(points), self.float64_path(points))
+
+    def test_zero_width_points(self):
+        points = np.zeros((4, 0), dtype=np.int32)
+        assert agglom._float32_is_exact(points)
         got = agglom._half_sq_distances(points)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, self.brute(points))
+        self.assert_bytes_equal(got, self.float64_path(points))
+        result = ward(points, k=1, seed=0)
+        assert result == ward(points.astype(np.float64), k=1, seed=0)
+        assert result.ties_drawn == 2
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.random.default_rng(3).integers(-2, 3, size=(200, 7)),
+            np.random.default_rng(4).integers(0, 256, size=(170, 64), dtype=np.uint8),
+            np.random.default_rng(5).integers(-1023, 1024, size=(40, 4), dtype=np.int16),
+        ],
+        ids=["ties-int64", "uint8", "edge-int16"],
+    )
+    def test_ward_equals_ward_of_float64_points(self, points):
+        for seed in range(3):
+            got = ward(points, k=2, seed=seed)
+            expected = ward(points.astype(np.float64), k=2, seed=seed)
+            assert got == expected  # merges, ties_drawn and assignment
+            assert merge_trace(got) == merge_trace(expected)
 
 
 class TestGramInit:

@@ -54,21 +54,41 @@ class TestLargeEquivalence:
         got = agglom.ward(points, 2, seed)
         assert got.ties_drawn > 0
         assert_identical(got, reference.ward(points, 2, seed))
+        assert_identical(got, agglom.ward(points.astype(np.float64), 2, seed))
+
+
+def set_matrix(set_id):
+    sample = synth_sample("drug", "noun", n=N_LARGE, seed=1)
+    return build(extract(sample, build_schema(sample, set_id)))
 
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_ward_allocates_less_than_two_matrices(set_id):
-    """No N x N copy of the points, and no N x N gather of the criteria
-    when every row ties (set A), on top of the criterion matrix."""
-    sample = synth_sample("drug", "noun", n=N_LARGE, seed=1)
-    points = row_vectors(build(extract(sample, build_schema(sample, set_id))))
+    """Ward on the runner's points, ``row_vectors`` of the mismatch
+    matrix, allocates less than two N x N float64 arrays: the criterion
+    matrix and a transient float32 copy of the rows, with no float64
+    copy of them and no N x N gather of the criteria when every row ties
+    (set A)."""
+    d = set_matrix(set_id)
     tracemalloc.start()
     try:
-        agglom.ward(points, 2, 1)
+        agglom.ward(row_vectors(d), 2, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * N_LARGE**2 * points.itemsize
+    assert peak < 2 * N_LARGE**2 * 8
+
+
+@pytest.mark.parametrize("set_id", ["A", "B", "C"])
+def test_float32_init_equals_float64_init(set_id):
+    """The criterion from the int32 mismatch rows is byte-equal to the
+    float64 Gram init of the same rows."""
+    points = row_vectors(set_matrix(set_id))
+    assert points.dtype == np.int32 and agglom._float32_is_exact(points)
+    got = agglom._half_sq_distances(points)
+    expected = agglom._half_sq_distances(points.astype(np.float64))
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestSmallEquivalence:

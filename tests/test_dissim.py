@@ -154,12 +154,15 @@ class TestRowVectors:
     def test_reference_first_row(self):
         d = DissimilarityMatrix(np.array(REFERENCE_MISMATCHES))
         vectors = row_vectors(d)
-        assert vectors[0].tolist() == [0.0, 2.0, 1.0, 0.0]
-        assert vectors.dtype == np.float64
+        assert vectors[0].tolist() == [0, 2, 1, 0]
+        # the matrix's own rows: int32, read-only, not a copy
+        assert vectors.dtype == np.int32
+        assert not vectors.flags.writeable
+        assert np.shares_memory(vectors, d.cells)
 
     def test_single_observation(self):
         vectors = row_vectors(DissimilarityMatrix(np.zeros((1, 1), dtype=int)))
-        assert vectors.tolist() == [[0.0]]
+        assert vectors.tolist() == [[0]]
 
     def test_symmetry_restatement(self):
         d = DissimilarityMatrix(np.array(REFERENCE_MISMATCHES))
