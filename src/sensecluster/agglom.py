@@ -300,15 +300,24 @@ def _gram_is_exact(pts: np.ndarray) -> bool:
     return all(np.array_equal(block, np.rint(block)) for block in blocks)
 
 
+def _gram_rows(rows: np.ndarray, pts: np.ndarray, sq_rows: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(||a||^2 + ||b||^2 - 2 a.b) / 2 of each of ``rows`` against every
+    point, built in place in the product's array; ``sq_rows`` and ``sq``
+    are the squared norms of ``rows`` and ``pts``. Both Gram inits go
+    through it, so they add in the same order."""
+    out = rows @ pts.T
+    out *= -2.0
+    out += sq_rows[:, None]
+    out += sq
+    out /= 2.0
+    return out
+
+
 def _gram_half_sq_distances(pts: np.ndarray) -> np.ndarray:
-    """(||a||^2 + ||b||^2 - 2 a.b) / 2 for every pair, built in place in
-    one N x N array, inf on the diagonal."""
+    """``_gram_rows`` of all points at once, in one N x N array, inf on
+    the diagonal."""
     sq = np.einsum("ij,ij->i", pts, pts)
-    crit = pts @ pts.T
-    crit *= -2.0
-    crit += sq[:, None]
-    crit += sq
-    crit /= 2.0
+    crit = _gram_rows(pts, pts, sq, sq)
     np.fill_diagonal(crit, np.inf)
     return crit
 
@@ -316,20 +325,15 @@ def _gram_half_sq_distances(pts: np.ndarray) -> np.ndarray:
 def _float32_half_sq_distances(pts: np.ndarray) -> np.ndarray:
     """``_gram_half_sq_distances`` of integer points within the bound of
     ``_float32_is_exact``, from one float32 copy of the points, ROW_BLOCK
-    rows of the float64 result at a time, in the same order of
-    operations, so the values and the signs of zeros are the same."""
+    rows of the float64 result at a time through the same ``_gram_rows``,
+    so the values and the signs of zeros are the same."""
     f32 = pts.astype(np.float32)
     sq = np.einsum("ij,ij->i", f32, f32)
     n = pts.shape[0]
     crit = np.empty((n, n))
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        block = f32[rows] @ f32.T
-        block *= -2.0
-        block += sq[rows, None]
-        block += sq
-        block /= 2.0
-        crit[rows] = block
+        crit[rows] = _gram_rows(f32[rows], f32, sq[rows], sq)
     np.fill_diagonal(crit, np.inf)
     return crit
 

@@ -80,6 +80,20 @@ def test_ward_allocates_less_than_two_matrices(set_id):
 
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
+def test_ward_on_float_points_allocates_less_than_two_matrices(set_id):
+    """The same bound on float64 points: Ward makes no N x N copy of
+    them (the points are made before tracing starts)."""
+    points = row_vectors(set_matrix(set_id)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        agglom.ward(points, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * N_LARGE**2 * 8
+
+
+@pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_float32_init_equals_float64_init(set_id):
     """The criterion from the int32 mismatch rows is byte-equal to the
     float64 Gram init of the same rows."""
