@@ -62,6 +62,16 @@ def set_matrix(set_id):
     return build(extract(sample, build_schema(sample, set_id)))
 
 
+def ward_peak(points):
+    """Peak bytes tracemalloc sees while Ward clusters ``points``."""
+    tracemalloc.start()
+    try:
+        agglom.ward(points, 2, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_ward_allocates_less_than_two_matrices(set_id):
     """Ward on the runner's points, ``row_vectors`` of the mismatch
@@ -69,28 +79,14 @@ def test_ward_allocates_less_than_two_matrices(set_id):
     matrix and a transient float32 copy of the rows, with no float64
     copy of them and no N x N gather of the criteria when every row ties
     (set A)."""
-    d = set_matrix(set_id)
-    tracemalloc.start()
-    try:
-        agglom.ward(row_vectors(d), 2, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * N_LARGE**2 * 8
+    assert ward_peak(row_vectors(set_matrix(set_id))) < 2 * N_LARGE**2 * 8
 
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_ward_on_float_points_allocates_less_than_two_matrices(set_id):
-    """The same bound on float64 points: Ward makes no N x N copy of
-    them (the points are made before tracing starts)."""
-    points = row_vectors(set_matrix(set_id)).astype(np.float64)
-    tracemalloc.start()
-    try:
-        agglom.ward(points, 2, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * N_LARGE**2 * 8
+    """The same bound on float64 points, made before tracing starts:
+    Ward makes no N x N copy of them."""
+    assert ward_peak(row_vectors(set_matrix(set_id)).astype(np.float64)) < 2 * N_LARGE**2 * 8
 
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
