@@ -51,6 +51,25 @@ within the tolerance, and, when more than one pair ties, the r-th flat
 index of that mask restricted to a precomputed strict upper triangle.
 Both paths pick the same pair and consume the generator the same way.
 
+Duplicate rows are merged before the driver runs, with the same result.
+Equal rows are at criterion 0 and, for a mismatch matrix or integer
+points, every other pair at least 1 (McQuitty) or 1/2 (Ward), so the
+driver makes every merge among equal rows first, drawing among the zero
+pairs. Which pairs tie then depends only on each slot's label, the first
+row equal to its cluster's rows, so those merges are replayed from the
+labels alone: the same pairs, ids, criteria (0.0), slot moves and
+generator calls, with no N x N matrix. The driver goes on from there over
+the G distinct rows. McQuitty's G x G start is the mismatch counts
+between them, equal to what its averages of equal counts give. Ward's is
+n_a n_b / (n_a + n_b) ||x_a - x_b||^2, which rounds differently from the
+recurrence it replaces; as with the recurrence, these values only choose
+merges, and a tier-1 test pins the one tie that rounding splits on the
+runner's data to an exact tie. Ward labels integer points within the
+float32 bound by row identity; McQuitty takes each row's first zero
+column, checked to hold an equal row, so that the zeros are exactly the
+equal pairs. Other inputs, and inputs without equal rows, start the
+driver from the full matrix.
+
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
 the merge at step t creates cluster id N+t. The final assignment is
 replayed from that record.
@@ -77,8 +96,9 @@ CACHE_ABOVE = 150
 
 # Rows handled at once where a whole-matrix temporary would copy an
 # N x N array: the criterion rows gathered when tie counts are
-# recounted, Ward's float points checked for integer values, and the
-# rows of Ward's float32 init.
+# recounted, Ward's float points checked for integer values, the rows
+# of Ward's float32 init and of its weighted start after the duplicate
+# merges, and the mismatch rows checked against their labels' rows.
 ROW_BLOCK = 128
 
 
@@ -207,58 +227,79 @@ class _MinCache:
             self.ties[s] = np.count_nonzero(crit[s, s + 1 : m] <= self.thr)
 
 
-def _finish(n: int, merges: list[Merge], k: int, drawn: int) -> ClusterResult:
-    """Label the clusters left after ``merges`` by their smallest member,
-    replaying member lists by cluster id; each merge pops its children's
-    lists, so at most n members are held at once."""
-    members = {c: [c] for c in range(n)}
-    for step, mg in enumerate(merges):
-        members[n + step] = members.pop(mg.left) + members.pop(mg.right)
-    assignment = np.empty(n, dtype=np.int64)
-    for label, cluster in enumerate(sorted(members.values(), key=min)):
-        assignment[cluster] = label
-    return ClusterResult(assignment, tuple(merges), k, drawn)
+class _State:
+    """Where the driver stands: the id and size of the cluster in each
+    active slot, the merges so far, how many of them drew among ties,
+    and the seeded generator. Fresh, every observation is a slot of its
+    own."""
 
+    def __init__(self, n: int, seed):
+        self.n = n
+        self.ids = list(range(n))
+        self.sizes = np.ones(n)  # float64, as Ward multiplies them into float64 criteria
+        self.merges: list[Merge] = []
+        self.drawn = 0
+        self.rng = np.random.default_rng(seed)
 
-def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
-    """Merge the clusters of an n x n criterion matrix (inf diagonal) down to k.
+    @property
+    def next_id(self) -> int:
+        return self.n + len(self.merges)
 
-    The driver keeps each active slot's cluster id and size and moves
-    the slots. ``merge(i, j, sizes, left, right, new)`` gets the chosen
-    slots i < j of m, the m active sizes (to read only), the ids of the
-    clusters in slots i and j and the merged cluster's id; it returns the
-    criterion to record and a fresh array of the merged cluster's
-    criteria against all m slots (entries i and j ignored). The merged
-    cluster takes slot i and slot m-1 moves into j, so a merge costs
-    O(m): slot order carries no meaning.
-    """
-    n = crit.shape[0]
-    rng = np.random.default_rng(seed)
-    ids = list(range(n))
-    sizes = np.ones(n)  # float64, as Ward multiplies them into float64 criteria
-    cache = _MinCache(crit) if n > CACHE_ABOVE else None
-
-    merges: list[Merge] = []
-    drawn = 0
-    for step in range(n - k):
-        m = n - step
-        cached = m > CACHE_ABOVE
-        i, j, drew = cache.pick(m, rng) if cached else _pick_min_pair(crit[:m, :m], rng)
-        drawn += drew
-        new = n + step
-        value, row = merge(i, j, sizes[:m], ids[i], ids[j], new)
-        merges.append(Merge(ids[i], ids[j], value))
-        if cached:
-            stale = cache.retire(i, j, m, row)
+    def join(self, i: int, j: int, value: float, drew: bool) -> None:
+        """Record the merge of slots i < j: the merged cluster takes slot
+        i and the last slot moves into j."""
+        ids, sizes = self.ids, self.sizes
+        new = self.next_id
+        self.merges.append(Merge(ids[i], ids[j], value))
+        self.drawn += drew
         ids[i] = new
         sizes[i] += sizes[j]
+        last = len(ids) - 1
+        ids[j], sizes[j] = ids[last], sizes[last]
+        ids.pop()
+
+    def result(self, k: int) -> ClusterResult:
+        """Label the clusters left after the merges by their smallest
+        member, replaying member lists by cluster id; each merge pops its
+        children's lists, so at most n members are held at once."""
+        n = self.n
+        members = {c: [c] for c in range(n)}
+        for step, mg in enumerate(self.merges):
+            members[n + step] = members.pop(mg.left) + members.pop(mg.right)
+        assignment = np.empty(n, dtype=np.int64)
+        for label, cluster in enumerate(sorted(members.values(), key=min)):
+            assignment[cluster] = label
+        return ClusterResult(assignment, tuple(self.merges), k, self.drawn)
+
+
+def _agglomerate(crit: np.ndarray, k: int, merge, state: _State) -> ClusterResult:
+    """Merge the clusters in the m active slots of ``state`` down to k,
+    from their m x m criterion matrix (inf diagonal).
+
+    ``merge(i, j, sizes, left, right, new)`` gets the chosen slots i < j
+    of m, the m active sizes (to read only), the ids of the clusters in
+    slots i and j and the merged cluster's id; it returns the criterion
+    to record and a fresh array of the merged cluster's criteria against
+    all m slots (entries i and j ignored). The merged cluster takes slot
+    i and slot m-1 moves into j, so a merge costs O(m): slot order
+    carries no meaning.
+    """
+    rng = state.rng
+    cache = _MinCache(crit) if len(state.ids) > CACHE_ABOVE else None
+    for m in range(len(state.ids), k, -1):
+        cached = m > CACHE_ABOVE
+        i, j, drew = cache.pick(m, rng) if cached else _pick_min_pair(crit[:m, :m], rng)
+        ids = state.ids
+        value, row = merge(i, j, state.sizes[:m], ids[i], ids[j], state.next_id)
+        if cached:
+            stale = cache.retire(i, j, m, row)
+        state.join(i, j, value, drew)
 
         # the row copy sets crit[j, last] = inf, which the column copy moves to crit[j, j]
         last = m - 1
-        ids[j], sizes[j], row[j] = ids[last], sizes[last], row[last]
+        row[j] = row[last]
         crit[j, :m] = crit[last, :m]
         crit[:m, j] = crit[:m, last]
-        ids.pop()
 
         row = row[:last]
         row[i] = np.inf
@@ -267,7 +308,55 @@ def _agglomerate(crit: np.ndarray, k: int, seed, merge) -> ClusterResult:
         if cached:
             cache.admit(i, j, last, stale)
 
-    return _finish(n, merges, k, drawn)
+    return state.result(k)
+
+
+def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray | None:
+    """Make, from the labels alone, the merges the driver makes first:
+    those among rows with the same label, whose criterion is 0 while
+    every other pair's is at least 1/2. Returns the row that each active
+    slot's cluster copies, or None (leaving ``state`` fresh) if no two
+    rows share a label.
+
+    ``labels`` gives each row the first row equal to it. Pairs of slots
+    with one label are the tied pairs, so the r-th of them in row-major
+    upper-triangle order, the generator call, the recorded criterion 0.0
+    and the slot moves are the driver's. As in ``_MinCache.pick``, the
+    pair comes from per-slot counts of the later slots with the same
+    label, kept in O(m) per merge.
+    """
+    n = labels.size
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    later = np.empty(n, dtype=np.intp)
+    later[order] = np.searchsorted(ranked, ranked, side="right") - np.arange(n) - 1
+    if not later.any():
+        return None
+
+    slot = labels.copy()
+    m = n
+    while m > k:
+        cum = later[:m].cumsum()
+        total = int(cum[-1])
+        if not total:
+            break
+        r = int(state.rng.integers(total)) if total > 1 else 0
+        i = int(cum.searchsorted(r, side="right"))
+        r -= int(cum[i - 1]) if i else 0
+        same = slot[:m] == slot[i]
+        j = i + 1 + int(same[i + 1 :].nonzero()[0][r])
+        state.join(i, j, 0.0, total > 1)
+
+        # slot j leaves the earlier slots of its label, and the last
+        # slot, moving into j, leaves those of its label that it passes
+        last = m - 1
+        later[:j] -= same[:j]
+        passed = slot[j + 1 : last] == slot[last]
+        later[j + 1 : last] -= passed
+        later[j] = np.count_nonzero(passed)
+        slot[j] = slot[last]
+        m = last
+    return slot[:m]
 
 
 def _gram_bound(pts: np.ndarray) -> float:
@@ -322,18 +411,28 @@ def _gram_half_sq_distances(pts: np.ndarray) -> np.ndarray:
     return crit
 
 
-def _float32_half_sq_distances(pts: np.ndarray) -> np.ndarray:
+def _gather(a: np.ndarray, rows: np.ndarray, cols, dtype) -> np.ndarray:
+    """``a[rows][:, cols]`` as ``dtype``, ROW_BLOCK rows at a time, so no
+    temporary is the size of the result."""
+    out = np.empty((rows.size, a[:0, cols].shape[1]), dtype=dtype)
+    for start in range(0, rows.size, ROW_BLOCK):
+        out[start : start + ROW_BLOCK] = a[rows[start : start + ROW_BLOCK]][:, cols]
+    return out
+
+
+def _float32_half_sq_distances(pts: np.ndarray, rows=None) -> np.ndarray:
     """``_gram_half_sq_distances`` of integer points within the bound of
-    ``_float32_is_exact``, from one float32 copy of the points, ROW_BLOCK
-    rows of the float64 result at a time through the same ``_gram_rows``,
-    so the values and the signs of zeros are the same."""
-    f32 = pts.astype(np.float32)
+    ``_float32_is_exact``, or of the points ``pts[rows]``, from one
+    float32 copy of them, ROW_BLOCK rows of the float64 result at a time
+    through the same ``_gram_rows``, so the values and the signs of zeros
+    are the same."""
+    f32 = pts.astype(np.float32) if rows is None else _gather(pts, rows, slice(None), np.float32)
     sq = np.einsum("ij,ij->i", f32, f32)
-    n = pts.shape[0]
+    n = f32.shape[0]
     crit = np.empty((n, n))
     for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        crit[rows] = _gram_rows(f32[rows], f32, sq[rows], sq)
+        block = slice(start, start + ROW_BLOCK)
+        crit[block] = _gram_rows(f32[block], f32, sq[block], sq)
     np.fill_diagonal(crit, np.inf)
     return crit
 
@@ -373,6 +472,67 @@ def _half_sq_distances(pts: np.ndarray) -> np.ndarray:
     return crit
 
 
+def _ward_start(pts: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Ward's criterion n_a n_b / (n_a + n_b) ||x_a - x_b||^2 between the
+    clusters left by ``_replay_duplicates``, of sizes ``sizes`` and with
+    means ``pts[rows]``: ``_float32_half_sq_distances`` of those rows,
+    scaled in place ROW_BLOCK rows at a time, so no temporary is the size
+    of the matrix: on the benchmark's agglom-large workload (N=600),
+    whole-matrix temporaries here and in the gathers raised peak RSS from
+    44.0 to 46.7 MB, as the allocator kept their pages."""
+    crit = _float32_half_sq_distances(pts, rows)
+    sizes = sizes[: rows.size]
+    for start in range(0, rows.size, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        near = sizes[block, None]
+        weight = near * sizes
+        weight /= near + sizes
+        weight *= 2.0
+        crit[block] *= weight
+    return crit
+
+
+def _duplicate_labels(pts: np.ndarray) -> np.ndarray | None:
+    """Each row's first identical row, by the bytes of the rows, for
+    integer points within the bound of ``_float32_is_exact``; None for
+    other points.
+
+    For those points only equal rows are at 0, every other pair at least
+    1/2, and every start value is exact. Float points keep the full init:
+    pairs within TIE_TOL of 0 would tie with the equal rows.
+    """
+    if not _float32_is_exact(pts):
+        return None
+    n, dims = pts.shape
+    if not dims:
+        return np.zeros(n, dtype=np.intp)
+    rows = np.ascontiguousarray(pts).view(np.dtype((np.void, pts.dtype.itemsize * dims)))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _zero_labels(cells: np.ndarray) -> np.ndarray | None:
+    """Each row's first zero column, if every row equals the row there;
+    None if one does not.
+
+    Then the zeros are exactly the pairs of equal rows. Equal rows have
+    their first zero in the same column, so every label is its own
+    label. If (a, b) is a zero and c, e are the labels of a, b: row c
+    equals row a, so (c, b) is a zero and e <= c; row e equals row b, so
+    (e, c) is a zero and c <= e. So c = e and rows a and b are equal.
+    Checked ROW_BLOCK rows at a time.
+    """
+    n = cells.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    for start in range(0, n, ROW_BLOCK):
+        block = cells[start : start + ROW_BLOCK]
+        first = np.argmax(block == 0, axis=1)
+        if not np.array_equal(block, cells[first]):
+            return None
+        labels[start : start + ROW_BLOCK] = first
+    return labels
+
+
 def ward(points, k: int, seed=None) -> ClusterResult:
     """Cluster points into k groups by Ward's minimum-variance criterion.
 
@@ -387,11 +547,22 @@ def ward(points, k: int, seed=None) -> ClusterResult:
     n = pts.shape[0]
     _check_k(k, n)
 
-    crit = _half_sq_distances(pts)
-    merged_means = {}  # by cluster id, for merged clusters still active
+    state = _State(n, seed)
+    labels = _duplicate_labels(pts)
+    rows = None if labels is None else _replay_duplicates(state, labels, k)
+    if rows is None:
+        crit = _half_sq_distances(pts)
+        first_rows = {}
+    else:
+        crit = _ward_start(pts, rows, state.sizes)
+        first_rows = {c: r for c, r in zip(state.ids, rows.tolist()) if c >= n}
+    merged_means = {}  # by cluster id, for clusters merged by the driver still active
 
     def mean(c):
-        return merged_means.pop(c) if c >= n else pts[c].astype(np.float64, copy=False)
+        if c in merged_means:
+            return merged_means.pop(c)
+        # a singleton, or a cluster of duplicates of one row
+        return pts[first_rows.pop(c, c)].astype(np.float64, copy=False)
 
     def merge(i, j, sizes, left, right, new):
         ni, nj = sizes[i], sizes[j]
@@ -407,7 +578,7 @@ def ward(points, k: int, seed=None) -> ClusterResult:
         merged_means[new] = (ni * mi + nj * mj) / (ni + nj)
         return value, row
 
-    return _agglomerate(crit, k, seed, merge)
+    return _agglomerate(crit, k, merge, state)
 
 
 def mcquitty(d: DissimilarityMatrix, k: int, seed=None) -> ClusterResult:
@@ -415,14 +586,22 @@ def mcquitty(d: DissimilarityMatrix, k: int, seed=None) -> ClusterResult:
     n = d.n
     _check_k(k, n)
 
-    crit = d.cells.astype(np.float64)
+    state = _State(n, seed)
+    labels = _zero_labels(d.cells)
+    rows = None if labels is None else _replay_duplicates(state, labels, k)
+    if rows is None:
+        crit = d.cells.astype(np.float64)
+    else:
+        # averages of equal counts are exact: after the duplicate merges
+        # the criteria are the counts between the rows the clusters copy
+        crit = _gather(d.cells, rows, rows, np.float64)
     np.fill_diagonal(crit, np.inf)
 
     def merge(i, j, sizes, *_):
         m = sizes.size
         return float(crit[i, j]), 0.5 * (crit[i, :m] + crit[j, :m])
 
-    return _agglomerate(crit, k, seed, merge)
+    return _agglomerate(crit, k, merge, state)
 
 
 def merge_trace(result: ClusterResult) -> str:

@@ -579,6 +579,115 @@ class TestGramInit:
             self.loop_only(points)
 
 
+# ---------------------------------------------------------------- duplicate rows
+
+def uncollapsed(method, *args):
+    """``method`` with both label finders refusing, so the driver makes
+    every merge from the full start matrix."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agglom, "_zero_labels", lambda cells: None)
+        mp.setattr(agglom, "_duplicate_labels", lambda pts: None)
+        return method(*args)
+
+
+def assert_same_as_uncollapsed(method, data, k, seed):
+    got = method(data, k, seed)
+    expected = uncollapsed(method, data, k, seed)
+    assert got == expected  # merges, ties_drawn and assignment
+    assert merge_trace(got) == merge_trace(expected)
+
+
+def refuse(*_):
+    raise AssertionError("took a path the input should not reach")
+
+
+class TestDuplicateCollapse:
+    """The merges among equal rows, replayed from their labels, against
+    the driver making them."""
+
+    @pytest.mark.parametrize("features, levels", [(2, 3), (3, 3), (5, 2)])
+    def test_tie_heavy_nominal_data(self, features, levels):
+        # 60 rows of few nominal values: many equal rows, as feature set A has
+        values = np.random.default_rng(features * levels).integers(
+            0, levels, size=(60, features)
+        )
+        d = DissimilarityMatrix((values[:, None, :] != values[None, :, :]).sum(axis=2))
+        distinct = len(np.unique(values, axis=0))
+        assert distinct < 60
+        for seed in range(3):
+            for k in (1, 2, distinct - 1, distinct, distinct + 1, 59):
+                assert_same_as_uncollapsed(mcquitty, d, k, seed)
+                assert_same_as_uncollapsed(ward, d.cells, k, seed)
+                assert_same_as_uncollapsed(ward, values, k, seed)
+
+    def test_integer_points_with_more_columns_than_rows(self):
+        # a label is a row number, never a column number
+        points = np.random.default_rng(11).integers(0, 3, size=(12, 40))
+        points[[3, 7, 9]] = points[0]
+        points[10] = points[5]
+        labels = list(range(12))
+        labels[3] = labels[7] = labels[9] = 0
+        labels[10] = 5
+        assert agglom._duplicate_labels(points).tolist() == labels
+        for seed in range(5):
+            for k in (1, 4, 7, 8, 9, 12):
+                assert_same_as_uncollapsed(ward, points, k, seed)
+
+    def test_zero_width_points_are_all_equal(self):
+        points = np.zeros((4, 0), dtype=np.int32)
+        assert agglom._duplicate_labels(points).tolist() == [0, 0, 0, 0]
+        for k in (1, 2, 4):
+            assert_same_as_uncollapsed(ward, points, k, 0)
+
+    def test_collapse_alone_reaches_k(self):
+        # 3 distinct rows among 10: down to k >= 3 no pick is made
+        values = np.array([[0, 1], [2, 2], [0, 1], [1, 0], [2, 2], [0, 1], [1, 0], [0, 1], [2, 2], [1, 0]])
+        d = DissimilarityMatrix((values[:, None, :] != values[None, :, :]).sum(axis=2))
+        for seed in range(4):
+            for k in (3, 4, 9, 10):
+                expected = uncollapsed(mcquitty, d, k, seed), uncollapsed(ward, values, k, seed)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(agglom, "_pick_min_pair", refuse)
+                    mp.setattr(agglom._MinCache, "pick", refuse)
+                    assert (mcquitty(d, k, seed), ward(values, k, seed)) == expected
+
+    def test_mismatch_labels_of_equal_rows(self):
+        assert agglom._zero_labels(REFERENCE_MISMATCHES).tolist() == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            # the average-of-mismatches fixture: rows 0 and 1 are at 0 but differ
+            [[0, 0, 0], [0, 0, 2], [0, 2, 0]],
+            [[0, 0, 1, 3], [0, 0, 2, 3], [1, 2, 0, 1], [3, 3, 1, 0]],
+        ],
+    )
+    def test_a_zero_between_different_rows_takes_the_driver(self, cells):
+        cells = np.array(cells)
+        assert agglom._zero_labels(cells) is None
+        for seed in range(5):
+            for k in range(1, len(cells) + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(agglom, "_replay_duplicates", refuse)
+                    got = mcquitty(DissimilarityMatrix(cells), k, seed)
+                assert got == uncollapsed(mcquitty, DissimilarityMatrix(cells), k, seed)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.zeros((4, 2)),
+            np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 3.0], [0.0, 1.0 + 1e-12]]),
+            TestFloat32Init.edge_points(1024),
+        ],
+        ids=["equal-floats", "near-floats", "past-float32-bound"],
+    )
+    def test_other_points_take_the_driver(self, points):
+        assert agglom._duplicate_labels(points) is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom, "_replay_duplicates", refuse)
+            ward(points, 1, 0)
+
+
 # ---------------------------------------------------------------- cached pick path
 
 @pytest.fixture
@@ -610,3 +719,8 @@ class TestTiesCached(TestTies):
 @pytest.mark.usefixtures("cache_every_merge")
 class TestTiesDrawnCached(TestTiesDrawn):
     """Tie counts again, with both pick paths running."""
+
+
+@pytest.mark.usefixtures("cache_every_merge")
+class TestDuplicateCollapseCached(TestDuplicateCollapse):
+    """The duplicate replay again, with both pick paths running after it."""

@@ -10,6 +10,7 @@ is an independent oracle at realistic N on tie-free inputs.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from conftest import synth_sample
 from sensecluster import agglom
 from sensecluster.dissim import DissimilarityMatrix, build, row_vectors
 from sensecluster.features import build_schema, extract
-from test_agglom import random_tie_free_matrix, random_tie_free_points
+from test_agglom import assert_same_as_uncollapsed, random_tie_free_matrix, random_tie_free_points
 
 N_LARGE = 600
 
@@ -57,16 +58,16 @@ class TestLargeEquivalence:
         assert_identical(got, agglom.ward(points.astype(np.float64), 2, seed))
 
 
-def set_matrix(set_id):
-    sample = synth_sample("drug", "noun", n=N_LARGE, seed=1)
+def set_matrix(set_id, n=N_LARGE):
+    sample = synth_sample("drug", "noun", n=n, seed=1)
     return build(extract(sample, build_schema(sample, set_id)))
 
 
-def ward_peak(points):
-    """Peak bytes tracemalloc sees while Ward clusters ``points``."""
+def peak(method, data):
+    """Peak bytes tracemalloc sees while ``method`` clusters ``data``."""
     tracemalloc.start()
     try:
-        agglom.ward(points, 2, 1)
+        method(data, 2, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -79,14 +80,22 @@ def test_ward_allocates_less_than_two_matrices(set_id):
     matrix and a transient float32 copy of the rows, with no float64
     copy of them and no N x N gather of the criteria when every row ties
     (set A)."""
-    assert ward_peak(row_vectors(set_matrix(set_id))) < 2 * N_LARGE**2 * 8
+    assert peak(agglom.ward, row_vectors(set_matrix(set_id))) < 2 * N_LARGE**2 * 8
 
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_ward_on_float_points_allocates_less_than_two_matrices(set_id):
     """The same bound on float64 points, made before tracing starts:
     Ward makes no N x N copy of them."""
-    assert ward_peak(row_vectors(set_matrix(set_id)).astype(np.float64)) < 2 * N_LARGE**2 * 8
+    points = row_vectors(set_matrix(set_id)).astype(np.float64)
+    assert peak(agglom.ward, points) < 2 * N_LARGE**2 * 8
+
+
+def test_mcquitty_on_duplicate_rows_allocates_less_than_one_matrix():
+    """McQuitty on set A, 8 distinct rows among N, allocates less than
+    one N x N float64 array: the duplicate merges are replayed from row
+    labels, and the driver's criterion matrix is 8 x 8."""
+    assert peak(agglom.mcquitty, set_matrix("A")) < N_LARGE**2 * 8
 
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
@@ -99,6 +108,91 @@ def test_float32_init_equals_float64_init(set_id):
     expected = agglom._half_sq_distances(points.astype(np.float64))
     assert got.dtype == expected.dtype == np.float64
     assert got.tobytes() == expected.tobytes()
+
+
+class TestDuplicateCollapse:
+    """The replayed duplicate merges against the driver making them, on
+    the runner's mismatch matrices, with the cache at its default and in
+    use down to two clusters."""
+
+    @pytest.fixture(autouse=True, params=[agglom.CACHE_ABOVE, 2], ids=["default", "cache2"])
+    def cache_above(self, request, monkeypatch):
+        monkeypatch.setattr(agglom, "CACHE_ABOVE", request.param)
+
+    @pytest.mark.parametrize("set_id", ["A", "B", "C"])
+    def test_sets_at_200(self, set_id):
+        d = set_matrix(set_id, 200)
+        for seed in (1, 2):
+            for k in (2, 5):
+                assert_same_as_uncollapsed(agglom.mcquitty, d, k, seed)
+                assert_same_as_uncollapsed(agglom.ward, row_vectors(d), k, seed)
+
+    @pytest.mark.parametrize("k", [7, 8, 9, 10, 50, 199, 200])
+    def test_k_around_set_a_distinct_rows(self, k):
+        # set A has 8 distinct rows among 200: from k = 8 up the
+        # replayed merges alone reach k
+        d = set_matrix("A", 200)
+        assert len(np.unique(d.cells, axis=0)) == 8
+        for seed in (1, 2):
+            assert_same_as_uncollapsed(agglom.mcquitty, d, k, seed)
+            assert_same_as_uncollapsed(agglom.ward, row_vectors(d), k, seed)
+
+
+def exact_ward_criteria(block, state, points):
+    """The pairs of active slots within 1e-6 of the block's minimum,
+    each with its Ward criterion ||n_J S_I - n_I S_J||^2 / (n_I n_J (n_I + n_J))
+    as a Fraction, from the integer sums S of the clusters' members."""
+    members = {c: [c] for c in range(state.n)}
+    for step, mg in enumerate(state.merges):
+        members[state.n + step] = members.pop(mg.left) + members.pop(mg.right)
+    slots = [members[c] for c in state.ids]
+    near = np.argwhere(np.triu(block <= block.min() + 1e-6, 1))
+    exact = {}
+    for a, b in near.tolist():
+        na, nb = len(slots[a]), len(slots[b])
+        sa = points[slots[a]].sum(axis=0, dtype=np.int64).tolist()
+        sb = points[slots[b]].sum(axis=0, dtype=np.int64).tolist()
+        norm = sum((nb * x - na * y) ** 2 for x, y in zip(sa, sb))
+        exact[a, b] = Fraction(norm, na * nb * (na + nb))
+    return exact
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ward_tie_split_by_rounding_is_a_true_tie(seed, monkeypatch):
+    """At merge 347 of Ward on set B (254 clusters active), rounding puts
+    one of the pairs within TIE_TOL of the minimum at 62.500000000000014
+    against 62.5. Exact rationals from integer cluster sums give 125/2
+    for every pair within 1e-6 of the minimum, so the float tie set is
+    the exact one: the guard for the reweighted start that Ward takes
+    after the duplicate merges."""
+    points = row_vectors(set_matrix("B"))
+    drive, pick = agglom._agglomerate, agglom._MinCache.pick
+    seen = {}
+
+    def spy_drive(crit, k, merge, state):
+        seen["state"] = state
+        return drive(crit, k, merge, state)
+
+    def spy_pick(cache, m, rng):
+        state = seen["state"]
+        if len(state.merges) == 346:
+            block = cache.crit[:m, :m].copy()
+            seen["at"] = m, block, exact_ward_criteria(block, state, points)
+        return pick(cache, m, rng)
+
+    monkeypatch.setattr(agglom, "_agglomerate", spy_drive)
+    monkeypatch.setattr(agglom._MinCache, "pick", spy_pick)
+    agglom.ward(points, 2, seed)
+
+    m, block, exact = seen["at"]
+    assert m == 254
+    floats = {pair: block[pair] for pair in exact}
+    assert sorted(set(floats.values())) == [62.5, 62.500000000000014]
+    vmin = block.min()
+    tied = {pair for pair, value in floats.items() if value <= vmin + agglom.TIE_TOL}
+    assert min(exact.values()) == Fraction(125, 2)
+    assert tied == {pair for pair, value in exact.items() if value == Fraction(125, 2)}
+    assert len(tied) == 4
 
 
 class TestSmallEquivalence:
