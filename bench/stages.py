@@ -78,7 +78,7 @@ def measure_size(n: int, repeat: int) -> dict:
             ("ward", agglom.ward, row_vectors(d)),
         ):
             row[f"{name}_s"], result = median_time(repeat, lambda: method(data, K, SEED))
-            row[f"{name}_ties_drawn"] = int(result.ties_drawn)
+            row[f"{name}_ties_drawn"] = result.ties_drawn
             row[f"{name}_sha256"] = digest(result)
         sets[set_id] = row
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

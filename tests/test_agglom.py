@@ -1,5 +1,6 @@
 """Ward's and McQuitty's clustering against brute-force oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -337,6 +338,19 @@ class TestTiesDrawn:
         result = ClusterResult(np.zeros(3), (), 1)
         assert result.ties_drawn == 0
 
+    def test_is_a_python_int(self):
+        # drawn by the full scan (the cache's pick, with it in use), by
+        # the duplicate replay and by McQuitty; a numpy count would not
+        # pass json.dumps
+        for result in (
+            ward(np.zeros((4, 2)), k=1, seed=0),
+            ward(np.zeros((4, 2), dtype=np.int32), k=1, seed=0),
+            mcquitty(DissimilarityMatrix(np.array([[0, 1, 1], [1, 0, 2], [1, 2, 0]])), k=2, seed=0),
+        ):
+            assert result.ties_drawn > 0
+            assert type(result.ties_drawn) is int
+            json.dumps(result.ties_drawn)
+
 
 class TestTrace:
     def test_trace_lists_members_and_values(self):
@@ -353,6 +367,31 @@ class TestTrace:
         assert merge_trace(mcquitty(d, k=4, seed=0)) == ""
 
 
+def float32_start(points):
+    """Ward's float32 start over every row at unit sizes, as for points
+    with no two rows equal."""
+    n = len(points)
+    return agglom._ward_start(points, np.arange(n), np.ones(n))
+
+
+def starts_taken(points):
+    """The names of the Ward starts that clustering ``points`` calls."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_ward_start", "_half_sq_distances"):
+
+            def spy(*args, name=name, start=getattr(agglom, name)):
+                taken.append(name)
+                return start(*args)
+
+            mp.setattr(agglom, name, spy)
+        ward(points, len(points), 0)
+    return taken
+
+
+FLOAT32, LOOP = ["_ward_start"], ["_half_sq_distances"]
+
+
 class TestHalfSqDistances:
     @staticmethod
     def brute(points):
@@ -364,47 +403,32 @@ class TestHalfSqDistances:
     @pytest.mark.parametrize("dims", [4, 5])
     def test_integer_points_exact_at_float32_limit(self, dims):
         # |x| <= 1023 bounds a squared distance by dims * 2046^2, just
-        # under 2^24 at 4 dimensions (float32 path for integer-typed
-        # points) and over it at 5 (float64 path); rows 0 and 1 reach an
+        # under 2^24 at 4 dimensions (float32 start for integer-typed
+        # points) and over it at 5 (float64 loop); rows 0 and 1 reach an
         # odd sum near that bound, which float32 could not hold above 2^24
         rng = np.random.default_rng(dims)
         points = rng.integers(-1023, 1024, size=(30, dims))
         points[0], points[1] = -1023, 1023
         points[1, 0] = 1022
         assert agglom._float32_is_exact(points) == (dims == 4)
-        for pts in (points, points.astype(np.float64)):
-            got = agglom._half_sq_distances(pts)
+        assert starts_taken(points) == (FLOAT32 if dims == 4 else LOOP)
+        starts = [agglom._half_sq_distances(points)]
+        if dims == 4:
+            starts.append(float32_start(points))
+        for got in starts:
             assert got.dtype == np.float64
             assert np.array_equal(got, self.brute(points))
 
 
 class TestFloat32Init:
-    """The float32 init of integer-typed points against the float64 path.
+    """The float32 start of integer-typed points against the float64
+    loop, the reference, byte for byte.
 
     At 4 dimensions the bound dim * (2 max|x|)^2 < 2^24 holds up to
     max|x| = 1023 and fails from 1024; at 64 dimensions uint8's full
-    range 0..255 is inside it, and at 65 it is not.
+    range 0..255 is inside it, and at 65 it is not. Past the bound Ward
+    takes the loop.
     """
-
-    @staticmethod
-    def float64_path(points):
-        return agglom._half_sq_distances(points.astype(np.float64))
-
-    @staticmethod
-    def took_float32(points):
-        """``_half_sq_distances`` of the points, and whether it took the
-        float32 init."""
-        calls = []
-        init = agglom._float32_half_sq_distances
-
-        def spy(pts):
-            calls.append(pts.dtype)
-            return init(pts)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(agglom, "_float32_half_sq_distances", spy)
-            got = agglom._half_sq_distances(points)
-        return got, bool(calls)
 
     @staticmethod
     def edge_points(bound, dims=4, dtype=np.int64, n=2 * agglom.ROW_BLOCK + 9):
@@ -423,13 +447,18 @@ class TestFloat32Init:
         assert got.dtype == expected.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
+    def assert_start_is_loop(self, points):
+        """The float32 start equals the loop, byte for byte; returns it."""
+        got = float32_start(points)
+        self.assert_bytes_equal(got, agglom._half_sq_distances(points))
+        return got
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
     def test_just_inside_the_bound_takes_float32(self, dtype):
         points = self.edge_points(1023, dtype=dtype)
         assert agglom._float32_is_exact(points)
-        got, float32 = self.took_float32(points)
-        assert float32
-        self.assert_bytes_equal(got, self.float64_path(points))
+        assert starts_taken(points) == FLOAT32
+        got = self.assert_start_is_loop(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
         assert got[0, 1] == 4 * 2046**2 / 2
         assert got[1, 2] == 0.5
@@ -440,10 +469,10 @@ class TestFloat32Init:
     def test_at_the_bound_falls_back_to_float64(self, dtype):
         points = self.edge_points(1024, dtype=dtype)
         assert not agglom._float32_is_exact(points)
-        got, float32 = self.took_float32(points)
-        assert not float32
-        self.assert_bytes_equal(got, self.float64_path(points))
+        assert starts_taken(points) == LOOP
+        got = agglom._half_sq_distances(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
+        assert got[0, 1] == 4 * 2048**2 / 2
 
     def test_a_negative_extreme_alone_breaks_the_bound(self):
         points = np.zeros((5, 4), dtype=np.int32)
@@ -458,9 +487,9 @@ class TestFloat32Init:
         points = rng.integers(0, 256, size=(150, dims), dtype=np.uint8)
         points[0], points[1] = 0, 255
         assert agglom._float32_is_exact(points) == (dims == 64)
-        got, float32 = self.took_float32(points)
-        assert float32 == (dims == 64)
-        self.assert_bytes_equal(got, self.float64_path(points))
+        assert starts_taken(points) == (FLOAT32 if dims == 64 else LOOP)
+        got = self.assert_start_is_loop(points) if dims == 64 else agglom._half_sq_distances(points)
+        assert np.array_equal(got, TestHalfSqDistances.brute(points))
         assert got[0, 1] == dims * 255**2 / 2
 
     @pytest.mark.parametrize("seed", range(6))
@@ -470,13 +499,12 @@ class TestFloat32Init:
         high = int(rng.integers(1, 200))
         points = rng.integers(-high, high + 1, size=(n, dims), dtype=np.int32)
         assert agglom._float32_is_exact(points)
-        self.assert_bytes_equal(agglom._half_sq_distances(points), self.float64_path(points))
+        self.assert_start_is_loop(points)
 
     def test_zero_width_points(self):
         points = np.zeros((4, 0), dtype=np.int32)
         assert agglom._float32_is_exact(points)
-        got = agglom._half_sq_distances(points)
-        self.assert_bytes_equal(got, self.float64_path(points))
+        self.assert_start_is_loop(points)
         result = ward(points, k=1, seed=0)
         assert result == ward(points.astype(np.float64), k=1, seed=0)
         assert result.ties_drawn == 2
@@ -499,28 +527,14 @@ class TestFloat32Init:
 
 
 class TestGramInit:
-    """The Gram-product init against the row-at-a-time difference loop."""
+    """Points the float32 product does not start, which take the float64
+    row-difference loop, against brute force; and, where their integer
+    values fit the float32 bound, the product against the loop."""
 
-    # at 2 dimensions the bound dim * (2 max|x|)^2 < 2^53 holds up to
+    # at 2 dimensions the bound dim * (2 max|x|)^2 < 2^53, within which
+    # float64 sums of squared integer differences are exact, holds up to
     # max|x| = 2^25 - 1 and fails from 2^25
     EDGE = 2**25
-
-    @staticmethod
-    def by_loop(points):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(agglom, "_gram_is_exact", lambda pts: False)
-            return agglom._half_sq_distances(points)
-
-    @staticmethod
-    def loop_only(points):
-        """``_half_sq_distances`` with the Gram product made to fail."""
-
-        def refuse(pts):
-            raise AssertionError("took the Gram product")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(agglom, "_gram_half_sq_distances", refuse)
-            return agglom._half_sq_distances(points)
 
     @staticmethod
     def edge_points(bound):
@@ -530,53 +544,62 @@ class TestGramInit:
         points[2] = (bound, bound - 1)
         return points
 
+    @staticmethod
+    def assert_loop_is_brute(points):
+        """The loop equals brute force, nan for nan; returns it."""
+        got = agglom._half_sq_distances(points)
+        assert np.array_equal(got, TestHalfSqDistances.brute(points), equal_nan=True)
+        return got
+
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_loop_on_seeded_integer_points(self, seed):
         rng = np.random.default_rng(seed)
         n, dims = int(rng.integers(2, 120)), int(rng.integers(1, 80))
-        points = rng.integers(-(10**seed), 10**seed + 1, size=(n, dims)).astype(np.float64)
-        assert agglom._gram_is_exact(points)
-        assert np.array_equal(agglom._gram_half_sq_distances(points), self.by_loop(points))
+        points = rng.integers(-(10**seed), 10**seed + 1, size=(n, dims))
+        got = self.assert_loop_is_brute(points.astype(np.float64))
+        if agglom._float32_is_exact(points):
+            TestFloat32Init.assert_bytes_equal(float32_start(points), got)
 
     def test_integer_points_just_inside_the_bound(self):
         points = self.edge_points(self.EDGE - 1)
-        assert agglom._gram_is_exact(points)
-        got = agglom._gram_half_sq_distances(points)
-        assert np.array_equal(got, self.by_loop(points))
-        assert np.array_equal(got, TestHalfSqDistances.brute(points))
+        assert starts_taken(points) == LOOP
+        got = self.assert_loop_is_brute(points)
         # rows 0 and 1 differ by 2 max|x| in both dimensions, the largest
         # squared distance the bound admits
         assert got[0, 1] == 2 * (2 * (self.EDGE - 1)) ** 2 / 2
 
     def test_integer_points_at_the_bound_take_the_loop(self):
         points = self.edge_points(self.EDGE)
-        assert not agglom._gram_is_exact(points)
-        assert np.array_equal(self.loop_only(points), TestHalfSqDistances.brute(points))
+        assert starts_taken(points) == LOOP
+        self.assert_loop_is_brute(points)
 
     def test_non_integer_point_takes_the_loop(self):
         rng = np.random.default_rng(9)
         points = rng.integers(0, 10, size=(30, 4)).astype(np.float64)
         points[7, 2] += 0.5
-        assert not agglom._gram_is_exact(points)
-        assert np.array_equal(self.loop_only(points), TestHalfSqDistances.brute(points))
+        assert starts_taken(points) == LOOP
+        self.assert_loop_is_brute(points)
 
     @pytest.mark.parametrize(
         "row", [0, agglom.ROW_BLOCK - 1, agglom.ROW_BLOCK, 2 * agglom.ROW_BLOCK + 5]
     )
     def test_every_row_block_is_checked(self, row):
+        # a value in any row reaches every pair of that row, whichever
+        # block of rows the loop differences it in
         points = np.zeros((2 * agglom.ROW_BLOCK + 6, 3))
-        for bad in (0.5, np.nan, -self.EDGE):  # a negative extreme alone breaks the bound
+        for bad in (0.5, np.nan, -self.EDGE):
             points[row, 1] = bad
-            assert not agglom._gram_is_exact(points)
-        points[row, 1] = -3.0
-        assert agglom._gram_is_exact(points)
+            got = self.assert_loop_is_brute(points)
+            others = np.arange(len(points)) != row
+            assert np.all(got[row, others] != 0) and np.all(got[others, row] != 0)
 
     def test_non_finite_points_take_the_loop(self):
         for bad in (np.inf, np.nan):
             points = np.zeros((3, 2))
             points[1, 0] = bad
-            assert not agglom._gram_is_exact(points)
-            self.loop_only(points)
+            assert starts_taken(points) == LOOP
+            with np.errstate(invalid="ignore"):  # brute force differences inf with itself
+                self.assert_loop_is_brute(points)
 
 
 # ---------------------------------------------------------------- duplicate rows
@@ -686,6 +709,30 @@ class TestDuplicateCollapse:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(agglom, "_replay_duplicates", refuse)
             ward(points, 1, 0)
+
+    def test_distinct_rows_take_the_start(self):
+        # no two rows are equal: nothing is replayed, and both methods
+        # start from all rows, Ward from its float32 product at unit sizes
+        codes = np.random.default_rng(13).choice(3**4, size=24, replace=False)
+        points = codes[:, None] // 3 ** np.arange(4) % 3  # their distinct base-3 digits
+        n = len(points)
+        assert agglom._duplicate_labels(points).tolist() == list(range(n))
+        d = DissimilarityMatrix((points[:, None, :] != points[None, :, :]).sum(axis=2))
+        assert agglom._zero_labels(d.cells).tolist() == list(range(n))
+        drawn = 0
+        for seed in range(3):
+            for k in range(1, n + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(agglom, "_half_sq_distances", refuse)
+                    got = ward(points, k, seed), mcquitty(d, k, seed), ward(d.cells, k, seed)
+                expected = (
+                    uncollapsed(ward, points, k, seed),
+                    uncollapsed(mcquitty, d, k, seed),
+                    uncollapsed(ward, d.cells, k, seed),
+                )
+                assert got == expected  # merges, ties_drawn and assignment
+                drawn += sum(result.ties_drawn for result in got)
+        assert drawn > 0
 
 
 # ---------------------------------------------------------------- cached pick path

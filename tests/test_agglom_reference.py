@@ -86,7 +86,8 @@ def test_ward_allocates_less_than_two_matrices(set_id):
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_ward_on_float_points_allocates_less_than_two_matrices(set_id):
     """The same bound on float64 points, made before tracing starts:
-    Ward makes no N x N copy of them."""
+    Ward makes no N x N copy of them, as its loop differences each row
+    against ROW_BLOCK rows at a time."""
     points = row_vectors(set_matrix(set_id)).astype(np.float64)
     assert peak(agglom.ward, points) < 2 * N_LARGE**2 * 8
 
@@ -100,12 +101,12 @@ def test_mcquitty_on_duplicate_rows_allocates_less_than_one_matrix():
 
 @pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_float32_init_equals_float64_init(set_id):
-    """The criterion from the int32 mismatch rows is byte-equal to the
-    float64 Gram init of the same rows."""
+    """Ward's float32 start over all the int32 mismatch rows at unit
+    sizes is byte-equal to the float64 row-difference loop over them."""
     points = row_vectors(set_matrix(set_id))
     assert points.dtype == np.int32 and agglom._float32_is_exact(points)
-    got = agglom._half_sq_distances(points)
-    expected = agglom._half_sq_distances(points.astype(np.float64))
+    got = agglom._ward_start(points, np.arange(N_LARGE), np.ones(N_LARGE))
+    expected = agglom._half_sq_distances(points)
     assert got.dtype == expected.dtype == np.float64
     assert got.tobytes() == expected.tobytes()
 
