@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage timings of the agglomerative pipeline, written to BENCH_stages.json.
+"""Stage timings of the clustering pipeline, written to BENCH_stages.json.
 
 Usage, from the root of a checkout:
 
@@ -9,13 +9,16 @@ Usage, from the root of a checkout:
 For each sample size N, a fresh interpreter builds
 ``tests/conftest.py::synth_sample("drug", "noun", n=N, seed=1)``, extracts
 feature sets A, B and C, and times ``dissim.build``, ``agglom.mcquitty``
-and ``agglom.ward`` (on ``dissim.row_vectors``) at k=2 and seed 1,
+and ``agglom.ward`` (on ``dissim.row_vectors``) and ``em.fit`` (on the
+feature matrix, with its default stopping rule) at k=2 and seed 1,
 recording the median of ``--repeat`` runs of each, the number of
 distinct rows of the mismatch matrix, and the interpreter's peak RSS.
 Every merge trace and assignment is recorded as a SHA-256 digest (of
 ``merge_trace`` followed by the space-separated assignment, as the slow
-tests digest them), with the tie draws, so a fast but wrong build shows.
-The host's Python and numpy versions and CPU count are recorded too.
+tests digest them), with the tie draws, and EM's assignment as the
+digest of the space-separated assignment alone, so a fast but wrong
+build shows. The host's Python and numpy versions and CPU count are
+recorded too.
 
 ``--check FILE`` compares the digests and tie draws of this run with
 those recorded in FILE for the same sizes, and exits 1 if any differs or
@@ -40,11 +43,10 @@ SETS = ("A", "B", "C")
 WORD, CATEGORY, SAMPLE_SEED, K, SEED = "drug", "noun", 1, 2, 1
 
 
-def digest(result) -> str:
-    from sensecluster.agglom import merge_trace
-
+def digest(result, trace: str = "") -> str:
+    """SHA-256 of ``trace`` followed by the space-separated assignment."""
     assignment = " ".join(map(str, result.assignment.tolist()))
-    return hashlib.sha256((merge_trace(result) + assignment).encode()).hexdigest()
+    return hashlib.sha256((trace + assignment).encode()).hexdigest()
 
 
 def median_time(repeat: int, call):
@@ -63,7 +65,7 @@ def measure_size(n: int, repeat: int) -> dict:
     import numpy as np
     from conftest import synth_sample
 
-    from sensecluster import agglom
+    from sensecluster import agglom, em
     from sensecluster.dissim import build, row_vectors
     from sensecluster.features import build_schema, extract
 
@@ -79,7 +81,9 @@ def measure_size(n: int, repeat: int) -> dict:
         ):
             row[f"{name}_s"], result = median_time(repeat, lambda: method(data, K, SEED))
             row[f"{name}_ties_drawn"] = result.ties_drawn
-            row[f"{name}_sha256"] = digest(result)
+            row[f"{name}_sha256"] = digest(result, agglom.merge_trace(result))
+        row["em_s"], result = median_time(repeat, lambda: em.fit(matrix, K, SEED))
+        row["em_sha256"] = digest(result)
         sets[set_id] = row
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"peak_rss_mb": peak_rss_mb, "sets": sets}

@@ -47,36 +47,39 @@ within the tolerance, and, when more than one pair ties, the r-th flat
 index of that mask restricted to a precomputed strict upper triangle.
 Both paths pick the same pair and consume the generator the same way.
 
-Each method starts in one of two ways: from the distinct rows when its
-input has row labels, and from the full matrix when it has none.
+Both methods find equal rows one way (``_row_labels``): rows are grouped
+by the hash of their bytes, each is labelled with the first row of its
+group, and every row is checked against that row; a hash collision,
+which alone can fail the check, leaves the input without labels. Ward
+labels integer points within the float32 bound. McQuitty labels the
+mismatch rows and keeps the labels only if the matrix holds exactly
+sum(size^2) zeros: every pair of equal rows is a zero, so then no zero
+lies between different rows. Otherwise each row is its own label.
 
-Labels make the distinct-row start. Ward labels integer points within
-the float32 bound by row identity (``_duplicate_labels``); McQuitty
-takes each row's first zero column, checked to hold an equal row, so
-that the zeros are exactly the equal pairs (``_zero_labels``). Equal rows
-are at criterion 0 and every other pair at least 1 (McQuitty) or 1/2
-(Ward), so the driver makes every merge among equal rows first, drawing
-among the zero pairs. Which pairs tie then depends only on each slot's
-label, the first row equal to its cluster's rows, so those merges are
-replayed from the labels alone: the same pairs, ids, criteria (0.0),
-slot moves and generator calls, with no N x N matrix. The driver goes on
-from there over the G distinct rows, all N of them when no two rows are
-equal. McQuitty's G x G start is the mismatch counts between them, equal
-to what its averages of equal counts give. Ward's is
+Labels make the distinct-row start. Equal rows are at criterion 0 and
+every other pair at least 1 (McQuitty) or 1/2 (Ward), so the driver
+makes every merge among equal rows first, drawing among the zero pairs.
+Which pairs tie then depends only on each slot's label, the first row
+equal to its cluster's rows, so those merges are replayed from the
+labels alone: the same pairs, ids, criteria (0.0), slot moves and
+generator calls, with no N x N matrix. The driver goes on from there
+over the G distinct rows, all N of them when each row is its own label.
+McQuitty's G x G start is the mismatch counts between them, equal to
+what its averages of equal counts give. Ward's is
 n_a n_b / (n_a + n_b) ||x_a - x_b||^2, from one float32 matrix product
 (see ``_ward_start``) whose partial sums are all integers that float32
 holds exactly; between singletons the weight is exactly 1, so the start
 is ||x_a - x_b||^2 / 2 itself. After duplicate merges it rounds
 differently from the recurrence it replaces; as with the recurrence,
-these values only choose merges, and a tier-1 test pins the one tie that
-rounding splits on the runner's data to an exact tie.
+these values only choose merges, and the tests check on the runner's
+data that every tie rounding splits is an exact tie.
 
-Without labels the driver starts from the full matrix: McQuitty's
-mismatch counts, or Ward's ||x_a - x_b||^2 / 2 differenced in float64
-one row at a time (``_half_sq_distances``). That covers float points,
-whose pairs within TIE_TOL of 0 would tie with equal rows, integer
-points past the float32 bound, and mismatch matrices with a 0 between
-different rows. None of the runner's inputs is one of them.
+Only Ward keeps a second start, for points without labels: the full
+matrix of ||x_a - x_b||^2 / 2 differenced in float64 one row at a time
+(``_half_sq_distances``). That covers float points, whose pairs within
+TIE_TOL of 0 would tie with equal rows, integer points past the float32
+bound, and a hash collision. None of the runner's inputs is one of them.
+Float points must be finite.
 
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
 the merge at step t creates cluster id N+t. The final assignment is
@@ -106,7 +109,7 @@ CACHE_ABOVE = 150
 # N x N array or the points: the criterion rows gathered when tie counts
 # are recounted, the rows of both Ward starts (the float32 product and
 # its weights, and the rows each row is differenced against in float64),
-# and the mismatch rows checked against their labels' rows.
+# the rows checked against their labels' rows, and McQuitty's zero count.
 ROW_BLOCK = 128
 
 
@@ -464,45 +467,25 @@ def _ward_start(pts: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndar
     return crit
 
 
-def _duplicate_labels(pts: np.ndarray) -> np.ndarray | None:
-    """Each row's first identical row, by the bytes of the rows, for
-    integer points within the bound of ``_float32_is_exact``; None for
-    other points.
+def _row_labels(rows: np.ndarray) -> np.ndarray | None:
+    """Each row's first equal row; None if a hash collision put two
+    different rows in one group.
 
-    For those points only equal rows are at 0, every other pair at least
-    1/2, and every start value is exact. Other points start from
-    ``_half_sq_distances``: float pairs within TIE_TOL of 0 would tie
-    with the equal rows.
+    Rows are grouped by the hash of their bytes and each labelled with
+    the first row of its group; only the hashes are kept, not the bytes.
+    Equal rows hash alike, so they share a label, and each row is then
+    checked against its label's row, ROW_BLOCK rows at a time. The labels
+    depend on the grouping only, never on the hash values, so not on
+    PYTHONHASHSEED either.
     """
-    if not _float32_is_exact(pts):
-        return None
-    n, dims = pts.shape
-    if not dims:
-        return np.zeros(n, dtype=np.intp)
-    rows = np.ascontiguousarray(pts).view(np.dtype((np.void, pts.dtype.itemsize * dims)))
-    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    return first[inverse]
-
-
-def _zero_labels(cells: np.ndarray) -> np.ndarray | None:
-    """Each row's first zero column, if every row equals the row there;
-    None if one does not.
-
-    Then the zeros are exactly the pairs of equal rows. Equal rows have
-    their first zero in the same column, so every label is its own
-    label. If (a, b) is a zero and c, e are the labels of a, b: row c
-    equals row a, so (c, b) is a zero and e <= c; row e equals row b, so
-    (e, c) is a zero and c <= e. So c = e and rows a and b are equal.
-    Checked ROW_BLOCK rows at a time.
-    """
-    n = cells.shape[0]
-    labels = np.empty(n, dtype=np.intp)
-    for start in range(0, n, ROW_BLOCK):
-        block = cells[start : start + ROW_BLOCK]
-        first = np.argmax(block == 0, axis=1)
-        if not np.array_equal(block, cells[first]):
+    first = {}
+    labels = np.array(
+        [first.setdefault(hash(row.tobytes()), a) for a, row in enumerate(rows)], dtype=np.intp
+    )
+    for start in range(0, labels.size, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        if not np.array_equal(rows[block], rows[labels[block]]):
             return None
-        labels[start : start + ROW_BLOCK] = first
     return labels
 
 
@@ -511,18 +494,23 @@ def ward(points, k: int, seed=None) -> ClusterResult:
 
     Integer-typed points within the bound of ``_float32_is_exact``, such
     as the runner's mismatch rows, are used as they are, without a
-    float64 copy; any other points are taken as float64.
+    float64 copy; any other points are taken as float64, and must be
+    finite.
     """
     pts = np.asarray(points)
     if not np.issubdtype(pts.dtype, np.integer):
         pts = pts.astype(np.float64, copy=False)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
     n = pts.shape[0]
     _check_k(k, n)
 
     state = _State(n, seed)
-    labels = _duplicate_labels(pts)
+    # only equal rows are at 0 for these points, every other pair at
+    # least 1/2, and every start value is exact
+    labels = _row_labels(pts) if _float32_is_exact(pts) else None
     if labels is None:
         crit = _half_sq_distances(pts)
         first_rows = {}
@@ -560,15 +548,18 @@ def mcquitty(d: DissimilarityMatrix, k: int, seed=None) -> ClusterResult:
     n = d.n
     _check_k(k, n)
 
+    cells = d.cells
     state = _State(n, seed)
-    labels = _zero_labels(d.cells)
-    if labels is None:
-        crit = d.cells.astype(np.float64)
-    else:
-        # averages of equal counts are exact: after the duplicate merges
-        # the criteria are the counts between the rows the clusters copy
-        rows = _replay_duplicates(state, labels, k)
-        crit = _gather(d.cells, rows, rows, np.float64)
+    # equal rows are at 0 to each other, so the labels hold only if the
+    # matrix has no other zero: sum(size^2) zeros in all
+    labels = _row_labels(cells)
+    zeros = sum(np.count_nonzero(cells[s : s + ROW_BLOCK] == 0) for s in range(0, n, ROW_BLOCK))
+    if labels is None or zeros != np.square(np.bincount(labels)).sum():
+        labels = np.arange(n)  # nothing to replay: the start is the whole matrix
+    # averages of equal counts are exact: after the duplicate merges the
+    # criteria are the counts between the rows the clusters copy
+    rows = _replay_duplicates(state, labels, k)
+    crit = _gather(cells, rows, rows, np.float64)
     np.fill_diagonal(crit, np.inf)
 
     def merge(i, j, sizes, *_):

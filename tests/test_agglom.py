@@ -594,10 +594,12 @@ class TestGramInit:
             assert np.all(got[row, others] != 0) and np.all(got[others, row] != 0)
 
     def test_non_finite_points_take_the_loop(self):
-        for bad in (np.inf, np.nan):
+        # Ward rejects them; the loop itself still matches brute force
+        for bad in (np.inf, -np.inf, np.nan):
             points = np.zeros((3, 2))
             points[1, 0] = bad
-            assert starts_taken(points) == LOOP
+            with pytest.raises(ValueError, match="finite"):
+                ward(points, 1, 0)
             with np.errstate(invalid="ignore"):  # brute force differences inf with itself
                 self.assert_loop_is_brute(points)
 
@@ -605,11 +607,10 @@ class TestGramInit:
 # ---------------------------------------------------------------- duplicate rows
 
 def uncollapsed(method, *args):
-    """``method`` with both label finders refusing, so the driver makes
+    """``method`` with the row labeler refusing, so the driver makes
     every merge from the full start matrix."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(agglom, "_zero_labels", lambda cells: None)
-        mp.setattr(agglom, "_duplicate_labels", lambda pts: None)
+        mp.setattr(agglom, "_row_labels", lambda rows: None)
         return method(*args)
 
 
@@ -624,6 +625,27 @@ def refuse(*_):
     raise AssertionError("took a path the input should not reach")
 
 
+def replayed(method, *args):
+    """The labels ``method`` hands the duplicate replay and how many
+    merges the replay makes; None if it makes no replay."""
+    seen = []
+
+    def spy(state, labels, k, replay=agglom._replay_duplicates):
+        before = len(state.merges)
+        rows = replay(state, labels, k)
+        seen.append((labels.tolist(), len(state.merges) - before))
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agglom, "_replay_duplicates", spy)
+        method(*args)
+    return seen[0] if seen else None
+
+
+def mismatches(values):
+    return DissimilarityMatrix((values[:, None, :] != values[None, :, :]).sum(axis=2))
+
+
 class TestDuplicateCollapse:
     """The merges among equal rows, replayed from their labels, against
     the driver making them."""
@@ -634,7 +656,7 @@ class TestDuplicateCollapse:
         values = np.random.default_rng(features * levels).integers(
             0, levels, size=(60, features)
         )
-        d = DissimilarityMatrix((values[:, None, :] != values[None, :, :]).sum(axis=2))
+        d = mismatches(values)
         distinct = len(np.unique(values, axis=0))
         assert distinct < 60
         for seed in range(3):
@@ -651,21 +673,21 @@ class TestDuplicateCollapse:
         labels = list(range(12))
         labels[3] = labels[7] = labels[9] = 0
         labels[10] = 5
-        assert agglom._duplicate_labels(points).tolist() == labels
+        assert agglom._row_labels(points).tolist() == labels
         for seed in range(5):
             for k in (1, 4, 7, 8, 9, 12):
                 assert_same_as_uncollapsed(ward, points, k, seed)
 
     def test_zero_width_points_are_all_equal(self):
         points = np.zeros((4, 0), dtype=np.int32)
-        assert agglom._duplicate_labels(points).tolist() == [0, 0, 0, 0]
+        assert agglom._row_labels(points).tolist() == [0, 0, 0, 0]
         for k in (1, 2, 4):
             assert_same_as_uncollapsed(ward, points, k, 0)
 
     def test_collapse_alone_reaches_k(self):
         # 3 distinct rows among 10: down to k >= 3 no pick is made
         values = np.array([[0, 1], [2, 2], [0, 1], [1, 0], [2, 2], [0, 1], [1, 0], [0, 1], [2, 2], [1, 0]])
-        d = DissimilarityMatrix((values[:, None, :] != values[None, :, :]).sum(axis=2))
+        d = mismatches(values)
         for seed in range(4):
             for k in (3, 4, 9, 10):
                 expected = uncollapsed(mcquitty, d, k, seed), uncollapsed(ward, values, k, seed)
@@ -675,7 +697,11 @@ class TestDuplicateCollapse:
                     assert (mcquitty(d, k, seed), ward(values, k, seed)) == expected
 
     def test_mismatch_labels_of_equal_rows(self):
-        assert agglom._zero_labels(REFERENCE_MISMATCHES).tolist() == [0, 1, 2, 0]
+        # rows 0 and 3 are equal and their zeros are the only ones off
+        # the diagonal: 6 zeros, 2^2 + 1 + 1
+        assert agglom._row_labels(REFERENCE_MISMATCHES).tolist() == [0, 1, 2, 0]
+        d = DissimilarityMatrix(REFERENCE_MISMATCHES)
+        assert replayed(mcquitty, d, 1, 0) == ([0, 1, 2, 0], 1)
 
     @pytest.mark.parametrize(
         "cells",
@@ -686,14 +712,36 @@ class TestDuplicateCollapse:
         ],
     )
     def test_a_zero_between_different_rows_takes_the_driver(self, cells):
+        # the rows are all different, so more zeros than sum(size^2) = n:
+        # each row is its own label and the replay makes no merge
         cells = np.array(cells)
-        assert agglom._zero_labels(cells) is None
+        n = len(cells)
+        assert agglom._row_labels(cells).tolist() == list(range(n))
+        assert np.count_nonzero(cells == 0) > n
         for seed in range(5):
-            for k in range(1, len(cells) + 1):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(agglom, "_replay_duplicates", refuse)
-                    got = mcquitty(DissimilarityMatrix(cells), k, seed)
-                assert got == uncollapsed(mcquitty, DissimilarityMatrix(cells), k, seed)
+            for k in range(1, n + 1):
+                d = DissimilarityMatrix(cells)
+                assert replayed(mcquitty, d, k, seed) == (list(range(n)), 0)
+                assert mcquitty(d, k, seed) == uncollapsed(mcquitty, d, k, seed)
+
+    @pytest.mark.parametrize("pair", [(2, 3), (126, 127), (128, 129), (260, 261)])
+    def test_zeros_are_counted_in_every_row_block(self, pair):
+        # rows 0 and 1 are equal; a zero between two different rows in
+        # any block of rows takes their labels away
+        n = 2 * agglom.ROW_BLOCK + 6
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.integers(1, 10, size=(n, n)), 1)
+        cells = upper + upper.T
+        cells[1], cells[:, 1] = cells[0], cells[:, 0]
+        cells[0, 1] = cells[1, 0] = cells[1, 1] = 0
+        d = DissimilarityMatrix(cells)
+        assert replayed(mcquitty, d, 2, 0) == ([0, 0] + list(range(2, n)), 1)
+        a, b = pair
+        cells[a, b] = cells[b, a] = 0
+        d = DissimilarityMatrix(cells)
+        assert agglom._row_labels(cells).tolist() == [0, 0] + list(range(2, n))
+        assert replayed(mcquitty, d, 2, 0) == (list(range(n)), 0)
+        assert mcquitty(d, 2, 0) == uncollapsed(mcquitty, d, 2, 0)
 
     @pytest.mark.parametrize(
         "points",
@@ -705,8 +753,9 @@ class TestDuplicateCollapse:
         ids=["equal-floats", "near-floats", "past-float32-bound"],
     )
     def test_other_points_take_the_driver(self, points):
-        assert agglom._duplicate_labels(points) is None
+        assert not agglom._float32_is_exact(points)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom, "_row_labels", refuse)
             mp.setattr(agglom, "_replay_duplicates", refuse)
             ward(points, 1, 0)
 
@@ -716,9 +765,11 @@ class TestDuplicateCollapse:
         codes = np.random.default_rng(13).choice(3**4, size=24, replace=False)
         points = codes[:, None] // 3 ** np.arange(4) % 3  # their distinct base-3 digits
         n = len(points)
-        assert agglom._duplicate_labels(points).tolist() == list(range(n))
-        d = DissimilarityMatrix((points[:, None, :] != points[None, :, :]).sum(axis=2))
-        assert agglom._zero_labels(d.cells).tolist() == list(range(n))
+        assert agglom._row_labels(points).tolist() == list(range(n))
+        d = mismatches(points)
+        assert agglom._row_labels(d.cells).tolist() == list(range(n))
+        assert replayed(mcquitty, d, 1, 0) == (list(range(n)), 0)
+        assert replayed(ward, points, 1, 0) == (list(range(n)), 0)
         drawn = 0
         for seed in range(3):
             for k in range(1, n + 1):
@@ -733,6 +784,46 @@ class TestDuplicateCollapse:
                 assert got == expected  # merges, ties_drawn and assignment
                 drawn += sum(result.ties_drawn for result in got)
         assert drawn > 0
+
+    @pytest.mark.parametrize(
+        "row", [0, agglom.ROW_BLOCK - 1, agglom.ROW_BLOCK, 2 * agglom.ROW_BLOCK + 5]
+    )
+    def test_every_row_is_checked_against_its_label(self, row, monkeypatch):
+        # with every hash equal all rows share row 0's label, and one
+        # different row in any block of rows refuses the labels
+        monkeypatch.setattr(agglom, "hash", lambda b: 0, raising=False)
+        points = np.zeros((2 * agglom.ROW_BLOCK + 6, 3), dtype=np.int32)
+        assert agglom._row_labels(points).tolist() == [0] * len(points)
+        points[row, 1] = 1
+        assert agglom._row_labels(points) is None
+
+    def test_hash_collision_takes_the_driver(self, monkeypatch):
+        # tie-heavy nominal rows, and the mismatch fixture with two equal
+        # rows: with every hash equal the labeler refuses, and Ward and
+        # McQuitty start from the full matrix
+        values = np.random.default_rng(6).integers(0, 3, size=(40, 2))
+        d = mismatches(values)
+        cases = [
+            (mcquitty, d),
+            (ward, d.cells),
+            (ward, values),
+            (mcquitty, DissimilarityMatrix(REFERENCE_MISMATCHES)),
+        ]
+        expected = {
+            (case, k, seed): uncollapsed(method, data, k, seed)
+            for case, (method, data) in enumerate(cases)
+            for k in (1, 3)
+            for seed in range(3)
+        }
+        monkeypatch.setattr(agglom, "hash", lambda b: 0, raising=False)
+        assert agglom._row_labels(values) is None
+        assert agglom._row_labels(d.cells) is None
+        assert replayed(mcquitty, d, 1, 0) == (list(range(40)), 0)
+        assert replayed(ward, values, 1, 0) is None
+        for (case, k, seed), result in expected.items():
+            method, data = cases[case]
+            assert method(data, k, seed) == result
+            assert merge_trace(method(data, k, seed)) == merge_trace(result)
 
 
 # ---------------------------------------------------------------- cached pick path

@@ -139,23 +139,59 @@ class TestDuplicateCollapse:
             assert_same_as_uncollapsed(agglom.ward, row_vectors(d), k, seed)
 
 
-def exact_ward_criteria(block, state, points):
-    """The pairs of active slots within 1e-6 of the block's minimum,
-    each with its Ward criterion ||n_J S_I - n_I S_J||^2 / (n_I n_J (n_I + n_J))
-    as a Fraction, from the integer sums S of the clusters' members."""
-    members = {c: [c] for c in range(state.n)}
-    for step, mg in enumerate(state.merges):
-        members[state.n + step] = members.pop(mg.left) + members.pop(mg.right)
-    slots = [members[c] for c in state.ids]
-    near = np.argwhere(np.triu(block <= block.min() + 1e-6, 1))
-    exact = {}
-    for a, b in near.tolist():
-        na, nb = len(slots[a]), len(slots[b])
-        sa = points[slots[a]].sum(axis=0, dtype=np.int64).tolist()
-        sb = points[slots[b]].sum(axis=0, dtype=np.int64).tolist()
-        norm = sum((nb * x - na * y) ** 2 for x, y in zip(sa, sb))
-        exact[a, b] = Fraction(norm, na * nb * (na + nb))
-    return exact
+class ExactCriteria:
+    """The exact criteria, as Fractions, of the pairs of active slots
+    within 1e-6 of a criterion block's minimum, for ``method`` clustering
+    the integer ``data``.
+
+    Ward: ||n_J S_I - n_I S_J||^2 / (n_I n_J (n_I + n_J)), from the
+    integer sums S of the clusters' points. McQuitty: the sum over
+    members a of I and b of J of 2^-(depth_I(a) + depth_J(b)) D[a, b], a
+    member's depth being the number of merges above it in its cluster's
+    tree. Each call first makes the merges the driver's state has made
+    since the last call.
+    """
+
+    def __init__(self, method, data):
+        self.data = np.asarray(data, dtype=np.int64)
+        self.ward = method is agglom.ward
+        self.done = 0
+        # by cluster id: Ward's (size, sum), McQuitty's (members, depths)
+        self.clusters = {
+            c: (1, row) if self.ward else (np.array([c]), np.zeros(1, dtype=np.int64))
+            for c, row in enumerate(self.data)
+        }
+
+    def _join(self, left, right):
+        (a, x), (b, y) = self.clusters.pop(left), self.clusters.pop(right)
+        if self.ward:
+            return a + b, x + y
+        return np.concatenate([a, b]), np.concatenate([x, y]) + 1
+
+    def _exact(self, left, right):
+        (a, x), (b, y) = left, right
+        if self.ward:
+            diff = b * x - a * y
+            assert int(np.abs(diff).max(initial=0)) ** 2 * diff.size < 2**63  # int64 holds the norm
+            return Fraction(int(diff @ diff), a * b * (a + b))
+        # the counts summed per pair of depths, then scaled by powers of 2
+        da, ia = np.unique(x, return_inverse=True)
+        db, ib = np.unique(y, return_inverse=True)
+        summed = np.zeros((da.size, db.size), dtype=np.int64)
+        np.add.at(summed, (ia[:, None], ib[None, :]), self.data[np.ix_(a, b)])
+        top = int(da[-1] + db[-1])
+        num = sum(
+            int(summed[u, v]) << (top - int(da[u]) - int(db[v])) for u, v in np.argwhere(summed)
+        )
+        return Fraction(num, 1 << top)
+
+    def __call__(self, block, state):
+        for mg in state.merges[self.done :]:
+            self.clusters[state.n + self.done] = self._join(mg.left, mg.right)
+            self.done += 1
+        slots = [self.clusters[c] for c in state.ids]
+        near = np.argwhere(np.triu(block <= block.min() + 1e-6, 1))
+        return {(a, b): self._exact(slots[a], slots[b]) for a, b in near.tolist()}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -168,6 +204,7 @@ def test_ward_tie_split_by_rounding_is_a_true_tie(seed, monkeypatch):
     after the duplicate merges."""
     points = row_vectors(set_matrix("B"))
     drive, pick = agglom._agglomerate, agglom._MinCache.pick
+    exact_criteria = ExactCriteria(agglom.ward, points)
     seen = {}
 
     def spy_drive(crit, k, merge, state):
@@ -178,7 +215,7 @@ def test_ward_tie_split_by_rounding_is_a_true_tie(seed, monkeypatch):
         state = seen["state"]
         if len(state.merges) == 346:
             block = cache.crit[:m, :m].copy()
-            seen["at"] = m, block, exact_ward_criteria(block, state, points)
+            seen["at"] = m, block, exact_criteria(block, state)
         return pick(cache, m, rng)
 
     monkeypatch.setattr(agglom, "_agglomerate", spy_drive)

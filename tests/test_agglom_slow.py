@@ -1,12 +1,13 @@
-"""Slow tier: Ward and McQuitty byte-identity at N = 1000 and N = 2000.
+"""Slow tier: Ward and McQuitty byte-identity at N = 1000 and N = 2000,
+and an exact tie oracle at N = 300.
 
-Deselected from the default run; run with ``pytest -m slow`` (about a
-minute and a half on two cores). At N = 1000 both methods must reproduce
-``reference_agglom``'s full-scan loops exactly. At N = 2000 the
-reference takes minutes, so the merge trace and assignment are checked
-against SHA-256 digests recorded with the row-at-a-time Ward init and
-the row-loop mismatch counts that preceded the Gram product and the
-one-hot product.
+Deselected from the default run; run with ``pytest -m slow``. At
+N = 1000 both methods must reproduce ``reference_agglom``'s full-scan
+loops exactly. At N = 2000 the reference takes minutes, so the merge
+trace and assignment are checked against SHA-256 digests recorded with
+the row-at-a-time Ward init and the row-loop mismatch counts that
+preceded the Gram product and the one-hot product. At N = 300 every pick
+of both pick paths is checked against exact rational criteria.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from conftest import synth_sample
 from sensecluster import agglom
 from sensecluster.dissim import build, row_vectors
 from sensecluster.features import build_schema, extract
-from test_agglom_reference import assert_identical
+from test_agglom_reference import ExactCriteria, assert_identical
 
 pytestmark = pytest.mark.slow
 
@@ -61,3 +62,42 @@ def test_matches_recorded_digests_at_2000(set_id):
         ("mcquitty", agglom.mcquitty(d, 2, 1)),
     ):
         assert (result.ties_drawn, digest(result)) == DIGESTS_2000[set_id, method]
+
+
+@pytest.mark.parametrize("cache_above", [agglom.CACHE_ABOVE, 2], ids=["default", "cache2"])
+@pytest.mark.parametrize("set_id", ["A", "B", "C"])
+@pytest.mark.parametrize("method", [agglom.ward, agglom.mcquitty], ids=["ward", "mcquitty"])
+def test_float_ties_are_the_exact_ties_at_300(method, set_id, cache_above, monkeypatch):
+    """At every pick, by the full scan and by the cache, the pairs within
+    TIE_TOL of the float minimum are exactly the pairs at the exact
+    minimum, among the pairs within 1e-6 of it."""
+    d = mismatches(300, 1, set_id)
+    drive, scan, cached = agglom._agglomerate, agglom._pick_min_pair, agglom._MinCache.pick
+    exact_criteria = ExactCriteria(method, d.cells)
+    seen = {"picks": 0}
+
+    def check(block):
+        exact = exact_criteria(block, seen["state"])
+        low = min(exact.values())
+        tied = {pair for pair in exact if block[pair] <= block.min() + agglom.TIE_TOL}
+        assert tied == {pair for pair, value in exact.items() if value == low}
+        seen["picks"] += 1
+
+    def spy_drive(crit, k, merge, state):
+        seen["state"], seen["replayed"] = state, len(state.merges)
+        return drive(crit, k, merge, state)
+
+    def spy_scan(crit, rng):
+        check(crit)
+        return scan(crit, rng)
+
+    def spy_cached(cache, m, rng):
+        check(cache.crit[:m, :m])
+        return cached(cache, m, rng)
+
+    monkeypatch.setattr(agglom, "CACHE_ABOVE", cache_above)
+    monkeypatch.setattr(agglom, "_agglomerate", spy_drive)
+    monkeypatch.setattr(agglom, "_pick_min_pair", spy_scan)
+    monkeypatch.setattr(agglom._MinCache, "pick", spy_cached)
+    result = method(d if method is agglom.mcquitty else row_vectors(d), 2, 1)
+    assert seen["picks"] == len(result.merges) - seen["replayed"] > 0

@@ -1,10 +1,15 @@
 """Smoke test of ``bench/stages.py`` at a tiny sample size."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from conftest import synth_sample
+from sensecluster import em
+from sensecluster.features import build_schema, extract
 
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "stages.py"
 
@@ -27,11 +32,19 @@ def test_writes_and_checks_the_stage_file(stages, tmp_path):
     assert sorted(size["sets"]) == ["A", "B", "C"]
     for row in size["sets"].values():
         assert 1 <= row["distinct_rows"] <= 24
-        for stage in ("dissim", "mcquitty", "ward"):
+        for stage in ("dissim", "mcquitty", "ward", "em"):
             assert row[f"{stage}_s"] >= 0
-        for method in ("mcquitty", "ward"):
+        for method in ("mcquitty", "ward", "em"):
             assert len(row[f"{method}_sha256"]) == 64
+        for method in ("mcquitty", "ward"):
             assert 0 <= row[f"{method}_ties_drawn"] <= 22
+
+    # EM's digest is of its assignment alone
+    sample = synth_sample(stages.WORD, stages.CATEGORY, n=24, seed=stages.SAMPLE_SEED)
+    for set_id, row in size["sets"].items():
+        result = em.fit(extract(sample, build_schema(sample, set_id)), stages.K, stages.SEED)
+        assignment = " ".join(map(str, result.assignment.tolist()))
+        assert row["em_sha256"] == hashlib.sha256(assignment.encode()).hexdigest()
 
     # a second run repeats the digests, and a changed one is reported
     args = ["--sizes", "24", "--repeat", "1", "--output", str(second), "--check", str(first)]
@@ -39,5 +52,10 @@ def test_writes_and_checks_the_stage_file(stages, tmp_path):
     rerun = json.loads(second.read_text())
     assert stages.mismatches(rerun, report) == []
     report["sizes"]["24"]["sets"]["B"]["ward_sha256"] = "0" * 64
-    (problem,) = stages.mismatches(rerun, report)
-    assert problem.startswith("N=24 set B ward_sha256:")
+    del report["sizes"]["24"]["sets"]["C"]["em_sha256"]
+    problems = stages.mismatches(rerun, report)
+    assert [problem.split(":")[0] for problem in problems] == [
+        "N=24 set B ward_sha256",
+        "N=24 set C em_sha256",
+    ]
+    assert problems[1].endswith("!= recorded None")
