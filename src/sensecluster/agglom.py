@@ -47,39 +47,35 @@ within the tolerance, and, when more than one pair ties, the r-th flat
 index of that mask restricted to a precomputed strict upper triangle.
 Both paths pick the same pair and consume the generator the same way.
 
-Both methods find equal rows one way (``_row_labels``): rows are grouped
-by the hash of their bytes, each is labelled with the first row of its
-group, and every row is checked against that row; a hash collision,
-which alone can fail the check, leaves the input without labels. Ward
-labels integer points within the float32 bound. McQuitty labels the
-mismatch rows and keeps the labels only if the matrix holds exactly
-sum(size^2) zeros: every pair of equal rows is a zero, so then no zero
-lies between different rows. Otherwise each row is its own label.
+Both methods start one way: row labels, a replay of the merges among
+equal rows, one start matrix over the rows left, then the driver.
+``_row_labels`` groups rows by the hash of their bytes, labels each with
+the first row of its group and checks every row against that row; a
+hash collision, which alone can fail the check, makes each row its own
+label. Ward labels integer points within the float32 bound; in float
+points, pairs within TIE_TOL of 0 would tie with equal rows, so they,
+like integers past the bound, keep each row as its own label. McQuitty
+labels the mismatch rows and keeps the labels only if the matrix holds
+exactly sum(size^2) zeros: every pair of equal rows is a zero, so then
+no zero lies between different rows. Otherwise each row is its own
+label.
 
-Labels make the distinct-row start. Equal rows are at criterion 0 and
-every other pair at least 1 (McQuitty) or 1/2 (Ward), so the driver
-makes every merge among equal rows first, drawing among the zero pairs.
-Which pairs tie then depends only on each slot's label, the first row
-equal to its cluster's rows, so those merges are replayed from the
-labels alone: the same pairs, ids, criteria (0.0), slot moves and
-generator calls, with no N x N matrix. The driver goes on from there
-over the G distinct rows, all N of them when each row is its own label.
-McQuitty's G x G start is the mismatch counts between them, equal to
-what its averages of equal counts give. Ward's is
-n_a n_b / (n_a + n_b) ||x_a - x_b||^2, from one float32 matrix product
-(see ``_ward_start``) whose partial sums are all integers that float32
-holds exactly; between singletons the weight is exactly 1, so the start
-is ||x_a - x_b||^2 / 2 itself. After duplicate merges it rounds
-differently from the recurrence it replaces; as with the recurrence,
-these values only choose merges, and the tests check on the runner's
-data that every tie rounding splits is an exact tie.
-
-Only Ward keeps a second start, for points without labels: the full
-matrix of ||x_a - x_b||^2 / 2 differenced in float64 one row at a time
-(``_half_sq_distances``). That covers float points, whose pairs within
-TIE_TOL of 0 would tie with equal rows, integer points past the float32
-bound, and a hash collision. None of the runner's inputs is one of them.
-Float points must be finite.
+Equal rows are at criterion 0 and every other pair at least 1
+(McQuitty) or 1/2 (Ward), so the driver makes every merge among equal
+rows first, drawing among the zero pairs. Which pairs tie then depends
+only on each slot's label, the first row equal to its cluster's rows, so
+those merges are replayed from the labels alone: the same pairs, ids,
+criteria (0.0), slot moves and generator calls, with no N x N matrix.
+The driver goes on from there over the G distinct rows, all N of them
+when each row is its own label. McQuitty's G x G start is the mismatch
+counts between them, equal to what its averages of equal counts give.
+Ward's is n_a n_b / (n_a + n_b) ||x_a - x_b||^2 (see ``_ward_start``),
+exact from a float32 product for labelled points and from float64 row
+differences for the others; between singletons it is ||x_a - x_b||^2 / 2
+itself. After duplicate merges it rounds differently from the recurrence
+it replaces; as with the recurrence, these values only choose merges,
+and the tests check on the runner's data that every tie rounding splits
+is an exact tie. Float points must be finite.
 
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
 the merge at step t creates cluster id N+t. The final assignment is
@@ -107,8 +103,7 @@ CACHE_ABOVE = 150
 
 # Rows handled at once where a whole-matrix temporary would copy an
 # N x N array or the points: the criterion rows gathered when tie counts
-# are recounted, the rows of both Ward starts (the float32 product and
-# its weights, and the rows each row is differenced against in float64),
+# are recounted, the rows of Ward's start (both kernels and the weights),
 # the rows checked against their labels' rows, and McQuitty's zero count.
 ROW_BLOCK = 128
 
@@ -398,63 +393,57 @@ def _gather(a: np.ndarray, rows: np.ndarray, cols, dtype) -> np.ndarray:
     return out
 
 
-def _half_sq_distances(pts: np.ndarray) -> np.ndarray:
-    """||x_a - x_b||^2 / 2 for every pair, as float64, inf on the
-    diagonal: Ward's start on points without labels.
-
-    Each row is differenced against the rows after it, ROW_BLOCK of them
-    at a time, so no temporary is the size of the points. There is no
-    fast path, as no caller passes such points: on a 2-vCPU x86 host
-    (numpy 2.4) Ward on the runner's N=600 mismatch rows taken as float64
-    takes 0.27-0.35 s this way, and took 0.08-0.09 s from a float64 Gram
-    product.
-    """
-    pts = pts.astype(np.float64, copy=False)
-    n = pts.shape[0]
-    crit = np.full((n, n), np.inf)
-    for a in range(n - 1):
-        for start in range(a + 1, n, ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
-            d = pts[block] - pts[a]
-            half = np.einsum("ij,ij->i", d, d) / 2.0
-            crit[a, block] = half
-            crit[block, a] = half
-    return crit
-
-
-def _ward_start(pts: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _ward_start(pts: np.ndarray, rows: np.ndarray, sizes: np.ndarray, exact: bool) -> np.ndarray:
     """Ward's criterion n_a n_b / (n_a + n_b) ||x_a - x_b||^2 between the
     clusters left by ``_replay_duplicates``, of sizes ``sizes`` and with
-    means ``pts[rows]``, for integer points within the bound of
-    ``_float32_is_exact``, inf on the diagonal.
+    means ``pts[rows]``, inf on the diagonal; ``exact`` is
+    ``_float32_is_exact(pts)``.
 
-    ||x_a - x_b||^2 / 2 is the product (||a||^2 + ||b||^2 - 2 a.b) / 2
-    over one float32 copy of the rows. Each of its partial sums is an
-    integer that float32 holds exactly, so it equals
-    ``_half_sq_distances`` whatever order BLAS adds in and however many
-    threads it uses. The weight 2 n_a n_b / (n_a + n_b) is exactly 1
-    between singletons. Both are built ROW_BLOCK rows of the float64
+    For ``exact`` points ||x_a - x_b||^2 / 2 is the product
+    (||a||^2 + ||b||^2 - 2 a.b) / 2 over one float32 copy of the rows.
+    Each of its partial sums is an integer that float32 holds exactly, so
+    it equals the float64 differences whatever order BLAS adds in and
+    however many threads it uses. Other points, none of them the
+    runner's, are differenced in float64, each row against ROW_BLOCK of
+    the rows after it at a time: on a 2-vCPU x86 host (numpy 2.4) Ward on
+    the runner's N=600 mismatch rows taken as float64 takes 0.27-0.35 s
+    this way, against 0.08-0.09 s from a float64 Gram product. The weight
+    2 n_a n_b / (n_a + n_b) is exactly 1 between singletons.
+
+    The product and the weights are built ROW_BLOCK rows of the float64
     result at a time, so no temporary is the size of the matrix, and the
     weights only once the float32 copy is freed. On the benchmark's
-    agglom-large workload (N=600) a whole float32 product raised peak
-    RSS by about 1 MB, whole-matrix weights and gathers from 44.0 to
-    46.7 MB, and weights made alongside the float32 copy to 45.2 MB, as
-    the allocator kept their pages.
+    agglom-large workload (N=600) a whole float32 product raised peak RSS
+    by about 1 MB, whole-matrix weights and gathers from 44.0 to 46.7 MB,
+    and weights made alongside the float32 copy to 45.2 MB, as the
+    allocator kept their pages.
     """
-    f32 = _gather(pts, rows, slice(None), np.float32)
-    sq = np.einsum("ij,ij->i", f32, f32)
     g = rows.size
     crit = np.empty((g, g))
-    for start in range(0, g, ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        half = f32[block] @ f32.T
-        half *= -2.0
-        half += sq[block, None]
-        half += sq
-        half /= 2.0
-        crit[block] = half
-        del half  # so that two blocks' products are never held at once
-    del f32
+    if exact:
+        f32 = _gather(pts, rows, slice(None), np.float32)
+        sq = np.einsum("ij,ij->i", f32, f32)
+        for start in range(0, g, ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            half = f32[block] @ f32.T
+            half *= -2.0
+            half += sq[block, None]
+            half += sq
+            half /= 2.0
+            crit[block] = half
+            del half  # so that two blocks' products are never held at once
+        del f32
+    else:
+        f64 = pts.astype(np.float64, copy=False)
+        for a in range(g - 1):
+            for start in range(a + 1, g, ROW_BLOCK):
+                block = slice(start, start + ROW_BLOCK)
+                d = f64[rows[block]]
+                d -= f64[rows[a]]
+                half = np.einsum("ij,ij->i", d, d) / 2.0
+                crit[a, block] = half
+                crit[block, a] = half
+    np.fill_diagonal(crit, np.inf)
     sizes = sizes[:g]
     for start in range(0, g, ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
@@ -463,13 +452,12 @@ def _ward_start(pts: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndar
         weight /= near + sizes
         weight *= 2.0
         crit[block] *= weight
-    np.fill_diagonal(crit, np.inf)
     return crit
 
 
-def _row_labels(rows: np.ndarray) -> np.ndarray | None:
-    """Each row's first equal row; None if a hash collision put two
-    different rows in one group.
+def _row_labels(rows: np.ndarray) -> np.ndarray:
+    """Each row's first equal row; each row itself if a hash collision
+    put two different rows in one group.
 
     Rows are grouped by the hash of their bytes and each labelled with
     the first row of its group; only the hashes are kept, not the bytes.
@@ -485,7 +473,7 @@ def _row_labels(rows: np.ndarray) -> np.ndarray | None:
     for start in range(0, labels.size, ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
         if not np.array_equal(rows[block], rows[labels[block]]):
-            return None
+            return np.arange(labels.size)
     return labels
 
 
@@ -508,16 +496,13 @@ def ward(points, k: int, seed=None) -> ClusterResult:
     _check_k(k, n)
 
     state = _State(n, seed)
-    # only equal rows are at 0 for these points, every other pair at
-    # least 1/2, and every start value is exact
-    labels = _row_labels(pts) if _float32_is_exact(pts) else None
-    if labels is None:
-        crit = _half_sq_distances(pts)
-        first_rows = {}
-    else:
-        rows = _replay_duplicates(state, labels, k)
-        crit = _ward_start(pts, rows, state.sizes)
-        first_rows = {c: r for c, r in zip(state.ids, rows.tolist()) if c >= n}
+    # only points within the float32 bound are labelled: pairs of float
+    # points within TIE_TOL of 0 would tie with equal rows
+    exact = _float32_is_exact(pts)
+    labels = _row_labels(pts) if exact else np.arange(n)
+    rows = _replay_duplicates(state, labels, k)
+    crit = _ward_start(pts, rows, state.sizes, exact)
+    first_rows = {c: r for c, r in zip(state.ids, rows.tolist()) if c >= n}
     merged_means = {}  # by cluster id, for clusters merged by the driver still active
 
     def mean(c):
@@ -554,7 +539,7 @@ def mcquitty(d: DissimilarityMatrix, k: int, seed=None) -> ClusterResult:
     # matrix has no other zero: sum(size^2) zeros in all
     labels = _row_labels(cells)
     zeros = sum(np.count_nonzero(cells[s : s + ROW_BLOCK] == 0) for s in range(0, n, ROW_BLOCK))
-    if labels is None or zeros != np.square(np.bincount(labels)).sum():
+    if zeros != np.square(np.bincount(labels)).sum():
         labels = np.arange(n)  # nothing to replay: the start is the whole matrix
     # averages of equal counts are exact: after the duplicate merges the
     # criteria are the counts between the rows the clusters copy

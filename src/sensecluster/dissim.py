@@ -19,6 +19,8 @@ import numpy as np
 from ._value import ArrayValue
 from .features import FeatureMatrix
 
+_NOT_INT32 = "mismatch counts must be whole numbers that fit int32"
+
 
 @dataclass(frozen=True, eq=False)
 class DissimilarityMatrix(ArrayValue):
@@ -30,13 +32,21 @@ class DissimilarityMatrix(ArrayValue):
         arr = np.asarray(self.cells)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("cells must be a square matrix")
-        if (np.diag(arr) != 0).any():
+        # a cell that int32 cannot hold casts to a different value, so one
+        # comparison after the cast finds fractions, nan, inf and overflow
+        try:
+            with np.errstate(invalid="ignore"):
+                cells = self._hold("cells", np.int32)
+        except OverflowError:  # Python ints past int64 in an object array
+            cells = None
+        if cells is None or (cells != arr).any():
+            raise ValueError(_NOT_INT32)
+        if (np.diag(cells) != 0).any():
             raise ValueError("diagonal must be zero")
-        if (arr != arr.T).any():
+        if (cells != cells.T).any():
             raise ValueError("matrix must be symmetric")
-        if arr.size and arr.min() < 0:
+        if cells.size and cells.min() < 0:
             raise ValueError("mismatch counts must be non-negative")
-        self._hold("cells", np.int32)
 
     @property
     def n(self) -> int:
@@ -76,18 +86,16 @@ def format_triangle(d: DissimilarityMatrix) -> str:
 
 def parse_matrix_text(text: str) -> DissimilarityMatrix:
     """Read a dissimilarity matrix from text: full square or lower-triangle rows."""
-    rows = [[int(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
+    try:
+        rows = [[int(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{_NOT_INT32}: {exc}") from None
     if not rows:
         raise ValueError("empty matrix text")
     n = len(rows)
     lengths = [len(r) for r in rows]
-    if lengths == [n] * n:
-        return DissimilarityMatrix(np.array(rows))
     if lengths == list(range(1, n + 1)):
-        cells = np.zeros((n, n), dtype=np.int32)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                cells[i, j] = v
-                cells[j, i] = v
-        return DissimilarityMatrix(cells)
-    raise ValueError("matrix text must be square or lower-triangular")
+        rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    elif lengths != [n] * n:
+        raise ValueError("matrix text must be square or lower-triangular")
+    return DissimilarityMatrix(np.array(rows))

@@ -368,28 +368,34 @@ class TestTrace:
 
 
 def float32_start(points):
-    """Ward's float32 start over every row at unit sizes, as for points
-    with no two rows equal."""
+    """Ward's start over every row at unit sizes, as for points with no
+    two rows equal, from the float32 product."""
     n = len(points)
-    return agglom._ward_start(points, np.arange(n), np.ones(n))
+    return agglom._ward_start(points, np.arange(n), np.ones(n), True)
+
+
+def float64_start(points):
+    """The same from the float64 row-difference loop."""
+    n = len(points)
+    return agglom._ward_start(points, np.arange(n), np.ones(n), False)
 
 
 def starts_taken(points):
-    """The names of the Ward starts that clustering ``points`` calls."""
+    """The kernels of the Ward starts that clustering ``points`` builds,
+    True for the float32 product and False for the float64 loop."""
     taken = []
+
+    def spy(pts, rows, sizes, exact, start=agglom._ward_start):
+        taken.append(exact)
+        return start(pts, rows, sizes, exact)
+
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_ward_start", "_half_sq_distances"):
-
-            def spy(*args, name=name, start=getattr(agglom, name)):
-                taken.append(name)
-                return start(*args)
-
-            mp.setattr(agglom, name, spy)
+        mp.setattr(agglom, "_ward_start", spy)
         ward(points, len(points), 0)
     return taken
 
 
-FLOAT32, LOOP = ["_ward_start"], ["_half_sq_distances"]
+FLOAT32, LOOP = [True], [False]
 
 
 class TestHalfSqDistances:
@@ -412,7 +418,7 @@ class TestHalfSqDistances:
         points[1, 0] = 1022
         assert agglom._float32_is_exact(points) == (dims == 4)
         assert starts_taken(points) == (FLOAT32 if dims == 4 else LOOP)
-        starts = [agglom._half_sq_distances(points)]
+        starts = [float64_start(points)]
         if dims == 4:
             starts.append(float32_start(points))
         for got in starts:
@@ -420,8 +426,25 @@ class TestHalfSqDistances:
             assert np.array_equal(got, self.brute(points))
 
 
+    def test_float64_kernel_is_brute_force_at_unit_sizes(self):
+        # dyadic coordinates sum exactly in any order, so the loop over
+        # pts[rows] in blocks of rows equals brute force bit for bit; rows
+        # skip and reorder points, and span more than two row blocks
+        rng = np.random.default_rng(21)
+        points = rng.integers(-32, 33, size=(2 * agglom.ROW_BLOCK + 40, 5)) / 4.0
+        rows = rng.permutation(len(points))[: 2 * agglom.ROW_BLOCK + 9]
+        got = agglom._ward_start(points, rows, np.ones(len(points)), False)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, self.brute(points[rows]))
+        # other floats round, but each pair is differenced once
+        points = rng.normal(size=(150, 7))
+        got = float64_start(points)
+        assert np.array_equal(got, got.T)
+        assert np.allclose(got, self.brute(points), rtol=1e-12, atol=0)
+
+
 class TestFloat32Init:
-    """The float32 start of integer-typed points against the float64
+    """The float32 kernel of integer-typed points against the float64
     loop, the reference, byte for byte.
 
     At 4 dimensions the bound dim * (2 max|x|)^2 < 2^24 holds up to
@@ -450,7 +473,7 @@ class TestFloat32Init:
     def assert_start_is_loop(self, points):
         """The float32 start equals the loop, byte for byte; returns it."""
         got = float32_start(points)
-        self.assert_bytes_equal(got, agglom._half_sq_distances(points))
+        self.assert_bytes_equal(got, float64_start(points))
         return got
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
@@ -470,7 +493,7 @@ class TestFloat32Init:
         points = self.edge_points(1024, dtype=dtype)
         assert not agglom._float32_is_exact(points)
         assert starts_taken(points) == LOOP
-        got = agglom._half_sq_distances(points)
+        got = float64_start(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
         assert got[0, 1] == 4 * 2048**2 / 2
 
@@ -488,7 +511,7 @@ class TestFloat32Init:
         points[0], points[1] = 0, 255
         assert agglom._float32_is_exact(points) == (dims == 64)
         assert starts_taken(points) == (FLOAT32 if dims == 64 else LOOP)
-        got = self.assert_start_is_loop(points) if dims == 64 else agglom._half_sq_distances(points)
+        got = self.assert_start_is_loop(points) if dims == 64 else float64_start(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
         assert got[0, 1] == dims * 255**2 / 2
 
@@ -547,7 +570,7 @@ class TestGramInit:
     @staticmethod
     def assert_loop_is_brute(points):
         """The loop equals brute force, nan for nan; returns it."""
-        got = agglom._half_sq_distances(points)
+        got = float64_start(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points), equal_nan=True)
         return got
 
@@ -607,10 +630,12 @@ class TestGramInit:
 # ---------------------------------------------------------------- duplicate rows
 
 def uncollapsed(method, *args):
-    """``method`` with the row labeler refusing, so the driver makes
-    every merge from the full start matrix."""
+    """``method`` with each row its own label and Ward's points taken
+    as float64, so the driver makes every merge from the full start
+    matrix, Ward's from the float64 loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(agglom, "_row_labels", lambda rows: None)
+        mp.setattr(agglom, "_row_labels", lambda rows: np.arange(len(rows)))
+        mp.setattr(agglom, "_float32_is_exact", lambda pts: False)
         return method(*args)
 
 
@@ -623,6 +648,13 @@ def assert_same_as_uncollapsed(method, data, k, seed):
 
 def refuse(*_):
     raise AssertionError("took a path the input should not reach")
+
+
+def float32_kernel_only(pts, rows, sizes, exact, start=agglom._ward_start):
+    """Ward's start, refusing the float64 loop."""
+    if not exact:
+        refuse()
+    return start(pts, rows, sizes, exact)
 
 
 def replayed(method, *args):
@@ -753,11 +785,14 @@ class TestDuplicateCollapse:
         ids=["equal-floats", "near-floats", "past-float32-bound"],
     )
     def test_other_points_take_the_driver(self, points):
+        # no labeler: each row is its own label, the replay makes no
+        # merge, and the start is the float64 loop over all rows
         assert not agglom._float32_is_exact(points)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(agglom, "_row_labels", refuse)
-            mp.setattr(agglom, "_replay_duplicates", refuse)
-            ward(points, 1, 0)
+            assert replayed(ward, points, 1, 0) == (list(range(len(points))), 0)
+            assert starts_taken(points) == LOOP
+            assert ward(points, 1, 0) == uncollapsed(ward, points, 1, 0)
 
     def test_distinct_rows_take_the_start(self):
         # no two rows are equal: nothing is replayed, and both methods
@@ -774,7 +809,7 @@ class TestDuplicateCollapse:
         for seed in range(3):
             for k in range(1, n + 1):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(agglom, "_half_sq_distances", refuse)
+                    mp.setattr(agglom, "_ward_start", float32_kernel_only)
                     got = ward(points, k, seed), mcquitty(d, k, seed), ward(d.cells, k, seed)
                 expected = (
                     uncollapsed(ward, points, k, seed),
@@ -795,12 +830,13 @@ class TestDuplicateCollapse:
         points = np.zeros((2 * agglom.ROW_BLOCK + 6, 3), dtype=np.int32)
         assert agglom._row_labels(points).tolist() == [0] * len(points)
         points[row, 1] = 1
-        assert agglom._row_labels(points) is None
+        assert agglom._row_labels(points).tolist() == list(range(len(points)))
 
     def test_hash_collision_takes_the_driver(self, monkeypatch):
         # tie-heavy nominal rows, and the mismatch fixture with two equal
-        # rows: with every hash equal the labeler refuses, and Ward and
-        # McQuitty start from the full matrix
+        # rows: with every hash equal each row is its own label, and Ward
+        # and McQuitty start from the full matrix, Ward from the float32
+        # product
         values = np.random.default_rng(6).integers(0, 3, size=(40, 2))
         d = mismatches(values)
         cases = [
@@ -816,14 +852,86 @@ class TestDuplicateCollapse:
             for seed in range(3)
         }
         monkeypatch.setattr(agglom, "hash", lambda b: 0, raising=False)
-        assert agglom._row_labels(values) is None
-        assert agglom._row_labels(d.cells) is None
+        assert agglom._row_labels(values).tolist() == list(range(40))
+        assert agglom._row_labels(d.cells).tolist() == list(range(40))
         assert replayed(mcquitty, d, 1, 0) == (list(range(40)), 0)
-        assert replayed(ward, values, 1, 0) is None
+        assert replayed(ward, values, 1, 0) == (list(range(40)), 0)
+        assert starts_taken(values) == starts_taken(d.cells) == FLOAT32
         for (case, k, seed), result in expected.items():
             method, data = cases[case]
             assert method(data, k, seed) == result
             assert merge_trace(method(data, k, seed)) == merge_trace(result)
+
+
+def record(method, data, names):
+    """The calls ``method(data, 2, 0)`` makes to the agglom functions
+    ``names``, in order, as (name, args, returned)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+
+            def spy(*args, name=name, fn=getattr(agglom, name)):
+                out = fn(*args)
+                calls.append((name, args, out))
+                return out
+
+            mp.setattr(agglom, name, spy)
+        method(data, 2, 0)
+    return calls
+
+
+def nominal_rows(dtype=np.int64):
+    """40 rows of 3 values in 0..2: many rows are equal."""
+    return np.random.default_rng(40).integers(0, 3, size=(40, 3)).astype(dtype)
+
+
+def nominal_rows_past_the_bound():
+    points = nominal_rows()
+    points[0, 0] = 2**30
+    return points
+
+
+class TestOneStart:
+    """Both methods go row labels -> replay -> one start -> driver on
+    every input; only the labels and Ward's start kernel differ."""
+
+    # input, Ward's kernel (True: float32 product), whether the labels
+    # Ward and McQuitty hand the replay join equal rows
+    CASES = {
+        "labelled-int32": (lambda: nominal_rows(np.int32), True, True, True),
+        "floats": (lambda: np.random.default_rng(41).normal(size=(40, 3)), False, False, False),
+        "integer-floats": (lambda: nominal_rows(np.float64), False, False, True),
+        "past-float32-bound": (nominal_rows_past_the_bound, False, False, True),
+        "hash-collision": (lambda: nominal_rows(np.int32), True, False, False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_each_method_replays_once_and_builds_one_start(self, case, monkeypatch):
+        make, exact, ward_joins, mcquitty_joins = self.CASES[case]
+        points = make()
+        d = mismatches(points)
+        n = len(points)
+        if case == "hash-collision":
+            monkeypatch.setattr(agglom, "hash", lambda b: 0, raising=False)
+        names = ("_replay_duplicates", "_ward_start", "_gather")
+
+        calls = [c for c in record(ward, points, names) if c[0] != "_gather"]
+        assert [name for name, *_ in calls] == ["_replay_duplicates", "_ward_start"]
+        (_, (_, labels, _), rows), (_, (_, start_rows, _, got_exact), crit) = calls
+        assert (labels.tolist() != list(range(n))) == ward_joins
+        assert start_rows is rows and got_exact == exact
+        assert crit.shape == (rows.size, rows.size)
+
+        calls = record(mcquitty, d, names)
+        assert [name for name, *_ in calls] == ["_replay_duplicates", "_gather"]
+        (_, (_, labels, _), rows), (_, (cells, gather_rows, gather_cols, _), crit) = calls
+        assert (labels.tolist() != list(range(n))) == mcquitty_joins
+        assert cells is d.cells and gather_rows is rows and gather_cols is rows
+        assert crit.shape == (rows.size, rows.size)
+
+        for seed in range(3):
+            assert_same_as_uncollapsed(ward, points, 2, seed)
+            assert_same_as_uncollapsed(mcquitty, d, 2, seed)
 
 
 # ---------------------------------------------------------------- cached pick path

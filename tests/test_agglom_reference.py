@@ -105,8 +105,8 @@ def test_float32_init_equals_float64_init(set_id):
     sizes is byte-equal to the float64 row-difference loop over them."""
     points = row_vectors(set_matrix(set_id))
     assert points.dtype == np.int32 and agglom._float32_is_exact(points)
-    got = agglom._ward_start(points, np.arange(N_LARGE), np.ones(N_LARGE))
-    expected = agglom._half_sq_distances(points)
+    got = agglom._ward_start(points, np.arange(N_LARGE), np.ones(N_LARGE), True)
+    expected = agglom._ward_start(points, np.arange(N_LARGE), np.ones(N_LARGE), False)
     assert got.dtype == expected.dtype == np.float64
     assert got.tobytes() == expected.tobytes()
 

@@ -3,14 +3,16 @@ and an exact tie oracle at N = 300.
 
 Deselected from the default run; run with ``pytest -m slow``. At
 N = 1000 both methods must reproduce ``reference_agglom``'s full-scan
-loops exactly. At N = 2000 the reference takes minutes, so the merge
-trace and assignment are checked against SHA-256 digests recorded with
-the row-at-a-time Ward init and the row-loop mismatch counts that
-preceded the Gram product and the one-hot product. At N = 300 every pick
-of both pick paths is checked against exact rational criteria.
+loops exactly. At N = 2000 the reference takes minutes, so the tie
+counts and the SHA-256 digests of merge trace and assignment are checked
+against those ``bench/stages.py`` records in ``BENCH_stages.json``, for
+the same sample, k and seed. At N = 300 every pick of both pick paths is
+checked against exact rational criteria.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -23,14 +25,7 @@ from test_agglom_reference import ExactCriteria, assert_identical
 
 pytestmark = pytest.mark.slow
 
-# (set, method): (ties drawn, sha256 of merge_trace + assignment), for
-# synth_sample("drug", "noun", n=2000, seed=1), k = 2, seed 1
-DIGESTS_2000 = {
-    ("A", "ward"): (1991, "93052d7fb17796649dd9de0096b88dacdb6f979a04a56fcb086073a3ffb5f213"),
-    ("A", "mcquitty"): (1995, "b371b72d4c5e1a35eb0917ff28bc16c224920a13e292d0e1ed9ab393eea8b3e0"),
-    ("B", "ward"): (1188, "5e65662f8754110239e74eea76d5aa0b762b89fd9be650653955b091a176e6d8"),
-    ("B", "mcquitty"): (1862, "911e4a70494185af56fc6161ebce9f7a7d246766b4ad4a496ed0ebeda414d81c"),
-}
+RECORDED = json.loads((Path(__file__).resolve().parent.parent / "BENCH_stages.json").read_text())
 
 
 def mismatches(n, seed, set_id):
@@ -54,14 +49,18 @@ def test_matches_reference_at_1000(seed, set_id):
     assert_identical(agglom.ward(points, 2, seed), reference.ward(points, 2, seed))
 
 
-@pytest.mark.parametrize("set_id", ["A", "B"])
+@pytest.mark.parametrize("set_id", ["A", "B", "C"])
 def test_matches_recorded_digests_at_2000(set_id):
+    assert RECORDED["sample"] == {"word": "drug", "category": "noun", "seed": 1}
+    assert (RECORDED["k"], RECORDED["seed"]) == (2, 1)
+    recorded = RECORDED["sizes"]["2000"]["sets"][set_id]
     d = mismatches(2000, 1, set_id)
     for method, result in (
         ("ward", agglom.ward(row_vectors(d), 2, 1)),
         ("mcquitty", agglom.mcquitty(d, 2, 1)),
     ):
-        assert (result.ties_drawn, digest(result)) == DIGESTS_2000[set_id, method]
+        expected = recorded[f"{method}_ties_drawn"], recorded[f"{method}_sha256"]
+        assert (result.ties_drawn, digest(result)) == expected
 
 
 @pytest.mark.parametrize("cache_above", [agglom.CACHE_ABOVE, 2], ids=["default", "cache2"])

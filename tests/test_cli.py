@@ -103,6 +103,20 @@ class TestCluster:
         labels = set(capsys.readouterr().out.split())
         assert labels == {"0", "1"}
 
+    @pytest.mark.parametrize(
+        "text",
+        ["0 3000000000\n3000000000 0\n", "0\n3000000000 0\n", "0 0.5\n0.5 0\n", "0\n0.5 0\n"],
+        ids=["square-past-int32", "triangle-past-int32", "square-fraction", "triangle-fraction"],
+    )
+    @pytest.mark.parametrize("alg", ["ward", "mcquitty"])
+    def test_matrix_cells_int32_cannot_hold_are_an_error(self, tmp_path, capsys, alg, text):
+        matrix = tmp_path / "d.txt"
+        matrix.write_text(text, encoding="utf-8")
+        assert main(["cluster", "--alg", alg, "--k", "1", "--matrix", str(matrix)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "fit int32" in captured.err
+
     def test_requires_matrix_or_corpus(self, capsys):
         assert main(["cluster", "--alg", "ward", "--k", "2"]) == 2
         assert "cluster needs" in capsys.readouterr().err

@@ -202,6 +202,51 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             parse_matrix_text(text)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            np.array([[0, 0.5], [0.5, 0]]),
+            np.array([[0, 3000000000], [3000000000, 0]]),
+            np.array([[0, -3000000000], [-3000000000, 0]]),
+            np.array([[0, np.nan], [np.nan, 0]]),
+            np.array([[0, np.inf], [np.inf, 0]]),
+            np.array([[0, 2**70], [2**70, 0]], dtype=object),
+        ],
+        ids=["fraction", "past-int32", "below-int32", "nan", "inf", "past-int64"],
+    )
+    def test_rejects_cells_int32_cannot_hold(self, cells):
+        # a plain int32 cast turns 0.5 into 0 and 3000000000 into -1294967296
+        with pytest.raises(ValueError, match="whole numbers that fit int32"):
+            DissimilarityMatrix(cells)
+
+    def test_accepts_whole_floats_and_the_int32_extremes(self):
+        whole = DissimilarityMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert whole.cells.tolist() == [[0, 2], [2, 0]]
+        top = np.iinfo(np.int32).max
+        assert DissimilarityMatrix(np.array([[0, top], [top, 0]])).cells[0, 1] == top
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 0.5\n0.5 0\n",
+            "0\n0.5 0\n",
+            "0 3000000000\n3000000000 0\n",
+            "0\n3000000000 0\n",
+            "0\n-2147483649 0\n",
+            "0\n" + "9" * 30 + " 0\n",
+        ],
+        ids=["square-fraction", "triangle-fraction", "square-past-int32", "triangle-past-int32",
+             "triangle-below-int32", "triangle-past-int64"],
+    )
+    def test_parsed_text_rejects_cells_int32_cannot_hold(self, text):
+        with pytest.raises(ValueError, match="whole numbers that fit int32"):
+            parse_matrix_text(text)
+
+    def test_parsed_text_keeps_the_int32_maximum(self):
+        top = np.iinfo(np.int32).max
+        for text in (f"0 {top}\n{top} 0\n", f"0\n{top} 0\n"):
+            assert parse_matrix_text(text).cells[0, 1] == top
+
 
 class TestValueObject:
     def test_equal_by_value_and_unhashable(self):
