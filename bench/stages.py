@@ -20,9 +20,16 @@ digest of the space-separated assignment alone, so a fast but wrong
 build shows. The host's Python and numpy versions and CPU count are
 recorded too.
 
+The demo grid is timed as well: ``sensecluster run`` on
+``demo/experiment.ini`` at ``-j 1``, each of ``--repeat`` runs a fresh
+interpreter (its start-up included) writing to a temporary directory,
+recorded as the median under ``demo``.
+
 ``--check FILE`` compares the digests and tie draws of this run with
-those recorded in FILE for the same sizes, and exits 1 if any differs or
-is missing. Timings and peak RSS are never compared.
+those recorded in FILE for the same sizes (FILE is read before the run,
+so it may also be the output), and every demo output with
+``demo/expected.sha256``, and exits 1 if any differs or is missing.
+Timings and peak RSS are never compared.
 """
 
 import argparse
@@ -34,11 +41,14 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = ROOT / "BENCH_stages.json"
+DEMO_CONFIG = ROOT / "demo" / "experiment.ini"
+DEMO_DIGESTS = ROOT / "demo" / "expected.sha256"
 SETS = ("A", "B", "C")
 WORD, CATEGORY, SAMPLE_SEED, K, SEED = "drug", "noun", 1, 2, 1
 
@@ -100,6 +110,40 @@ def run_size(n: int, repeat: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def demo_mismatches(outdir: Path) -> list[str]:
+    """The files under ``outdir`` whose SHA-256 differs from the one in
+    ``DEMO_DIGESTS``, and the files that only one of the two lists."""
+    lines = DEMO_DIGESTS.read_text().splitlines()
+    expected = {name: sha for sha, name in (line.split(maxsplit=1) for line in lines)}
+    got = {
+        path.relative_to(outdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in outdir.rglob("*")
+        if path.is_file()
+    }
+    return [
+        f"demo {name}: {got.get(name)} != recorded {expected.get(name)}"
+        for name in sorted(expected.keys() | got.keys())
+        if got.get(name) != expected.get(name)
+    ]
+
+
+def run_demo(repeat: int) -> tuple[float, list[str]]:
+    """Median wall time of ``repeat`` demo runs, and every mismatch that
+    any of their outputs has against ``DEMO_DIGESTS``."""
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    command = [sys.executable, "-m", "sensecluster.cli", "run", "--config", str(DEMO_CONFIG)]
+    command += ["-j", "1", "-o"]
+    times, problems = [], []
+    for _ in range(repeat):
+        with tempfile.TemporaryDirectory() as outdir:
+            start = time.perf_counter()
+            subprocess.run([*command, outdir], env=env, check=True, capture_output=True)
+            times.append(time.perf_counter() - start)
+            problems += [p for p in demo_mismatches(Path(outdir)) if p not in problems]
+    return statistics.median(times), problems
+
+
 def host() -> dict:
     import numpy as np
 
@@ -141,23 +185,28 @@ def main(argv=None) -> int:
         print(json.dumps(measure_size(args.child, args.repeat)))
         return 0
 
+    # read before the run, as --output may name the same file
+    recorded = json.loads(args.check.read_text()) if args.check is not None else None
+    sizes = {str(n): run_size(n, args.repeat) for n in args.sizes}
+    demo_s, demo_problems = run_demo(args.repeat)
     report = {
         "host": host(),
         "sample": {"word": WORD, "category": CATEGORY, "seed": SAMPLE_SEED},
         "k": K,
         "seed": SEED,
         "repeat": args.repeat,
-        "sizes": {str(n): run_size(n, args.repeat) for n in args.sizes},
+        "sizes": sizes,
+        "demo": {"wall_s": demo_s},
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")
-    if args.check is not None:
-        problems = mismatches(report, json.loads(args.check.read_text()))
+    if recorded is not None:
+        problems = mismatches(report, recorded) + demo_problems
         for problem in problems:
             print(problem, file=sys.stderr)
         if problems:
             return 1
-        print(f"digests match {args.check}")
+        print(f"digests match {args.check} and {DEMO_DIGESTS.relative_to(ROOT)}")
     return 0
 
 

@@ -42,9 +42,9 @@ minima in O(m), and the r-th tied pair from per-row counts of tied
 entries right of the diagonal. The counts are updated in O(m) per merge
 while the minimum holds and recounted over the rows near a new minimum
 when it moves. At or below CACHE_ABOVE a full scan of the matrix is
-cheaper than that bookkeeping: one argmin, one mask of the entries
-within the tolerance, and, when more than one pair ties, the r-th flat
-index of that mask restricted to a precomputed strict upper triangle.
+cheaper than that bookkeeping: one minimum, and the flat indices of
+the entries within the tolerance of it in a precomputed strict upper
+triangle, of which the r-th is drawn when more than one pair ties.
 Both paths pick the same pair and consume the generator the same way.
 
 Both methods start one way: row labels, a replay of the merges among
@@ -152,17 +152,13 @@ _UPPER = np.triu(np.ones((CACHE_ABOVE, CACHE_ABOVE), dtype=bool), 1)
 def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
     """Index pair (i < j) of the minimum criterion, and whether ties were drawn."""
     m = crit.shape[0]
-    flat = int(crit.argmin())
-    i, j = divmod(flat, m)
-    vmin = crit[i, j]
-    mask = crit <= vmin + TIE_TOL
+    mask = crit <= crit.min() + TIE_TOL
     drew = bool(np.count_nonzero(mask) > 2)  # symmetric, so a unique pair hits twice
-    if drew:
-        # flat indices of the tied pairs right of the diagonal, in row-major order
-        mask &= _UPPER[:m, :m]
-        cand = np.flatnonzero(mask)
-        i, j = divmod(int(cand[rng.integers(cand.size)]), m)
-    return min(i, j), max(i, j), drew
+    mask &= _UPPER[:m, :m]
+    # flat indices of the tied pairs right of the diagonal, in row-major order
+    cand = np.flatnonzero(mask)
+    i, j = divmod(int(cand[rng.integers(cand.size)] if drew else cand[0]), m)
+    return i, j, drew
 
 
 def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool] | None:
@@ -177,8 +173,7 @@ def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool] | None:
         return None
     r = int(rng.integers(total)) if total > 1 else 0
     a = int(np.searchsorted(cum, r, side="right"))
-    r -= int(cum[a - 1]) if a else 0
-    return a, r, total > 1
+    return a, r - int(cum[a] - counts[a]), total > 1
 
 
 class _MinCache:
@@ -186,7 +181,8 @@ class _MinCache:
 
     ``rowmin[a]`` is the minimum of row a. ``ties[a]`` counts the entries
     right of the diagonal in row a that are at most ``thr``, the tie
-    threshold of the last pick.
+    threshold of the last pick. Both hold for the m active slots only:
+    entries at m and beyond are scratch that nothing reads.
     """
 
     def __init__(self, crit: np.ndarray):
@@ -226,8 +222,7 @@ class _MinCache:
         # column i is replaced, column j removed, column last moves to j
         ties[:i] += row[:i] <= thr
         ties[:i] -= ci[:i] <= thr
-        ties[:i] -= cj[:i] <= thr
-        ties[i + 1 : j] -= cj[i + 1 : j] <= thr
+        ties[:j] -= cj[:j] <= thr  # slot i is recounted in admit
         ties[j + 1 : last] -= cl[j + 1 : last] <= thr
         rowmin = self.rowmin[:m]
         stale = np.flatnonzero((np.minimum(ci, cj) <= rowmin) & (row > rowmin))
@@ -235,12 +230,10 @@ class _MinCache:
         return stale
 
     def admit(self, i: int, j: int, m: int, stale: np.ndarray) -> None:
-        """Refresh the merged slot i, the moved slot j and the stale rows."""
+        """Refresh the stale rows, the merged slot i and the moved slot j."""
         crit = self.crit
-        stale = stale[(stale != i) & (stale != j) & (stale < m)]
-        if stale.size:
-            self.rowmin[stale] = crit[stale, :m].min(axis=1)
-        for s in (i, j) if j < m else (i,):
+        self.rowmin[stale] = crit[stale, :m].min(axis=1)
+        for s in (i, j):
             self.rowmin[s] = crit[s, :m].min()
             self.ties[s] = np.count_nonzero(crit[s, s + 1 : m] <= self.thr)
 
@@ -502,14 +495,14 @@ def ward(points, k: int, seed=None) -> ClusterResult:
     labels = _row_labels(pts) if exact else np.arange(n)
     rows = _replay_duplicates(state, labels, k)
     crit = _ward_start(pts, rows, state.sizes, exact)
-    first_rows = {c: r for c, r in zip(state.ids, rows.tolist()) if c >= n}
+    first_rows = dict(zip(state.ids, rows.tolist()))
     merged_means = {}  # by cluster id, for clusters merged by the driver still active
 
     def mean(c):
         if c in merged_means:
             return merged_means.pop(c)
         # a singleton, or a cluster of duplicates of one row
-        return pts[first_rows.pop(c, c)].astype(np.float64, copy=False)
+        return pts[first_rows.pop(c)].astype(np.float64, copy=False)
 
     def merge(i, j, sizes, left, right, new):
         ni, nj = sizes[i], sizes[j]

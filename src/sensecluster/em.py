@@ -219,6 +219,15 @@ def initial_params(data: FeatureMatrix, k: int, rng) -> NaiveBayesParams:
     return m_step(counts, data.n)
 
 
+def check_stopping_rule(max_iter: int, tol: float) -> None:
+    """Reject a stopping rule EM cannot run: fewer than one iteration, or
+    a tolerance that is nan or negative (0 runs exactly ``max_iter``)."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
+
+
 def fit_from(
     params: NaiveBayesParams,
     data: FeatureMatrix,
@@ -226,6 +235,7 @@ def fit_from(
     tol: float = 1e-6,
 ) -> EmResult:
     """Run EM from explicit starting parameters (see ``fit`` for the usual entry)."""
+    check_stopping_rule(max_iter, tol)
     trace: list[float] = []
     converged = False
     iterations = 0
@@ -255,7 +265,8 @@ def fit(
     """Fit a k-component mixture by EM from a seeded random start.
 
     Stops when the largest absolute parameter change falls below ``tol``
-    or after ``max_iter`` iterations. ``loglik_trace[i]`` is the
+    or after ``max_iter`` iterations; ``max_iter`` below 1 and a nan or
+    negative ``tol`` are errors. ``loglik_trace[i]`` is the
     observed-data log-likelihood of the parameters entering iteration i;
     the final entry scores the returned parameters, which also produce
     the returned posteriors and hard assignment. A single call performs

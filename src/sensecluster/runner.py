@@ -73,6 +73,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.report_trial < self.trials:
             raise ValueError("report_trial must name one of the trials")
+        em.check_stopping_rule(self.em_max_iter, self.em_tol)
 
 
 # (section, key) -> (ExperimentConfig field, reader of the value text); a

@@ -139,6 +139,66 @@ class TestDuplicateCollapse:
             assert_same_as_uncollapsed(agglom.ward, row_vectors(d), k, seed)
 
 
+def duplicate_heavy_points():
+    """400 integer rows drawn from a pool of 200, 174 of them distinct."""
+    rng = np.random.default_rng(3)
+    pool = rng.integers(0, 5, size=(200, 6))
+    return pool[rng.integers(0, 200, size=400)]
+
+
+class TestMinCacheArrays:
+    """After every ``_MinCache.admit`` the row minima and tie counts of
+    the m active slots equal a fresh reduction of the criterion block, on
+    the runner's mismatch rows and on duplicate-heavy integer points, with
+    the cache at its default and in use down to two clusters."""
+
+    @pytest.fixture(autouse=True, params=[agglom.CACHE_ABOVE, 2], ids=["default", "cache2"])
+    def cache_above(self, request, monkeypatch):
+        monkeypatch.setattr(agglom, "CACHE_ABOVE", request.param)
+        return request.param
+
+    def check_every_admit(self, method, data, monkeypatch, cache_above):
+        """Cluster ``data`` at seeds 1-4; how many admits ran in all, and
+        how many of them followed a merge whose j was the last slot."""
+        drive, admit = agglom._agglomerate, agglom._MinCache.admit
+        seen = {"admits": 0, "j_last": 0}
+
+        def spy_drive(crit, k, merge, state):
+            seen["start"] = len(state.ids)
+            return drive(crit, k, merge, state)
+
+        def spy_admit(cache, i, j, m, stale):
+            admit(cache, i, j, m, stale)
+            block = cache.crit[:m, :m]
+            assert cache.rowmin[:m].tobytes() == block.min(axis=1).tobytes()
+            fresh = np.count_nonzero(np.triu(block <= cache.thr, 1), axis=1)
+            assert cache.ties[:m].tolist() == fresh.tolist()
+            seen["admits"] += 1
+            seen["j_last"] += j == m  # slot j was the last one, and left
+
+        monkeypatch.setattr(agglom, "_agglomerate", spy_drive)
+        monkeypatch.setattr(agglom._MinCache, "admit", spy_admit)
+        for seed in (1, 2, 3, 4):
+            before = seen["admits"]
+            method(data, 2, seed)
+            assert seen["admits"] - before == max(0, seen["start"] - max(cache_above, 2))
+        return seen
+
+    @pytest.mark.parametrize("set_id", ["A", "B", "C"])
+    def test_mismatch_rows_at_300(self, set_id, monkeypatch, cache_above):
+        d = set_matrix(set_id, 300)
+        for method, data in ((agglom.mcquitty, d), (agglom.ward, row_vectors(d))):
+            seen = self.check_every_admit(method, data, monkeypatch, cache_above)
+            assert seen["j_last"] > 0 or seen["admits"] == 0
+
+    def test_duplicate_heavy_integer_points(self, monkeypatch, cache_above):
+        points = duplicate_heavy_points()
+        cells = (points[:, None, :] != points[None, :, :]).sum(axis=2)
+        for method, data in ((agglom.mcquitty, DissimilarityMatrix(cells)), (agglom.ward, points)):
+            seen = self.check_every_admit(method, data, monkeypatch, cache_above)
+            assert seen["admits"] > 0 and seen["j_last"] > 0
+
+
 class ExactCriteria:
     """The exact criteria, as Fractions, of the pairs of active slots
     within 1e-6 of a criterion block's minimum, for ``method`` clustering

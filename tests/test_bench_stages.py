@@ -1,10 +1,15 @@
-"""Smoke test of ``bench/stages.py`` at a tiny sample size."""
+"""Smoke test of ``bench/stages.py`` at a tiny sample size.
+
+The timed demo runs only in the slow tier; the other tests stand a stub
+in for it.
+"""
 
 import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import synth_sample
@@ -22,11 +27,20 @@ def stages():
     return module
 
 
-def test_writes_and_checks_the_stage_file(stages, tmp_path):
+@pytest.fixture
+def demo_stub(stages, monkeypatch):
+    """Stand in for ``run_demo``: its wall time and mismatches, to set."""
+    stub = {"wall_s": 0.25, "problems": []}
+    monkeypatch.setattr(stages, "run_demo", lambda repeat: (stub["wall_s"], stub["problems"]))
+    return stub
+
+
+def test_writes_and_checks_the_stage_file(stages, tmp_path, demo_stub):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     assert stages.main(["--sizes", "24", "--repeat", "1", "--output", str(first)]) == 0
     report = json.loads(first.read_text())
     assert set(report["host"]) == {"python", "numpy", "cpu_count", "machine"}
+    assert report["demo"] == {"wall_s": 0.25}
     size = report["sizes"]["24"]
     assert size["peak_rss_mb"] > 0
     assert sorted(size["sets"]) == ["A", "B", "C"]
@@ -59,3 +73,57 @@ def test_writes_and_checks_the_stage_file(stages, tmp_path):
         "N=24 set C em_sha256",
     ]
     assert problems[1].endswith("!= recorded None")
+
+
+def test_check_fails_on_a_demo_output_mismatch(stages, tmp_path, demo_stub, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert stages.main(["--sizes", "24", "--repeat", "1", "--output", str(first)]) == 0
+    demo_stub["problems"] = ["demo aggregates.csv: None != recorded af16"]
+    args = ["--sizes", "24", "--repeat", "1", "--output", str(second), "--check", str(first)]
+    assert stages.main(args) == 1
+    assert capsys.readouterr().err == "demo aggregates.csv: None != recorded af16\n"
+
+
+def test_check_reads_the_recorded_file_before_writing_over_it(stages, tmp_path, demo_stub):
+    path = tmp_path / "stages.json"
+    assert stages.main(["--sizes", "24", "--repeat", "1", "--output", str(path)]) == 0
+    report = json.loads(path.read_text())
+    report["sizes"]["24"]["sets"]["A"]["mcquitty_sha256"] = "0" * 64
+    path.write_text(json.dumps(report))
+    args = ["--sizes", "24", "--repeat", "1", "--output", str(path), "--check", str(path)]
+    assert stages.main(args) == 1
+    assert json.loads(path.read_text())["sizes"]["24"]["sets"]["A"]["mcquitty_sha256"] != "0" * 64
+
+def test_demo_mismatches_lists_changed_missing_and_extra_files(stages, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    (out / "confusion").mkdir(parents=True)
+    files = {"aggregates.csv": b"a\n", "confusion/drug_A_em.txt": b"b\n", "summary.txt": b"c\n"}
+    sha = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    listing = tmp_path / "expected.sha256"
+    listing.write_text("".join(f"{sha[name]}  {name}\n" for name in files))
+    monkeypatch.setattr(stages, "DEMO_DIGESTS", listing)
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    assert stages.demo_mismatches(out) == []
+
+    (out / "summary.txt").write_bytes(b"changed\n")
+    (out / "aggregates.csv").unlink()
+    (out / "confusion" / "extra.txt").write_bytes(b"d\n")
+    problems = stages.demo_mismatches(out)
+    assert [problem.split(":")[0] for problem in problems] == [
+        "demo aggregates.csv",
+        "demo confusion/extra.txt",
+        "demo summary.txt",
+    ]
+    assert problems[0] == f"demo aggregates.csv: None != recorded {sha['aggregates.csv']}"
+    assert problems[1].endswith("!= recorded None")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not np.__version__.startswith("2.4."), reason="demo/expected.sha256 was recorded with numpy 2.4"
+)
+def test_demo_run_matches_the_recorded_digests(stages):
+    wall_s, problems = stages.run_demo(1)
+    assert wall_s > 0
+    assert problems == []

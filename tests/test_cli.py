@@ -156,6 +156,17 @@ class TestEm:
         assert "log-likelihood:" in out
         assert "assignment:" in out
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--max-iter", "-3"], ["--max-iter", "0"], ["--tol", "nan"], ["--tol", "-1"]],
+        ids=["max-iter-negative", "max-iter-0", "tol-nan", "tol-negative"],
+    )
+    def test_stopping_rule_that_cannot_run_is_an_error(self, corpus_file, capsys, option):
+        assert main(["em", "--corpus", corpus_file, "--set", "A", *option]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestRun:
     def test_run_from_config(self, tmp_path, capsys):
@@ -174,6 +185,25 @@ class TestRun:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_em_stopping_rule_that_cannot_run_is_an_error(self, tmp_path, capsys):
+        save_corpus(synth_sample("alpha", "noun", n=14, seed=3), tmp_path / "alpha.jsonl")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\n"
+            "algorithms = em\n"
+            "output = out\n"
+            "[em]\n"
+            "max_iter = -5\n"
+            "tol = nan\n"
+            "[corpora]\n"
+            "alpha = alpha.jsonl\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_corpus_gives_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -257,6 +257,33 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(data, 0)
 
+    @pytest.mark.parametrize(
+        "max_iter, tol, message",
+        [
+            (0, 1e-6, "max_iter"),
+            (-5, 1e-6, "max_iter"),
+            (10, float("nan"), "tol"),
+            (10, -1e-9, "tol"),
+            (-5, float("nan"), "max_iter"),
+        ],
+    )
+    def test_stopping_rule_is_checked(self, max_iter, tol, message):
+        """A fit of no iterations, or with a tolerance no change can fall
+        below, would return its random start as a result."""
+        sample = generate(2, make_schema((3, 2)), 20, 0.7, seed=1)
+        start = initial_params(sample.matrix, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            fit(sample.matrix, 2, seed=0, max_iter=max_iter, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            fit_from(start, sample.matrix, max_iter=max_iter, tol=tol)
+
+    def test_zero_tol_runs_every_iteration(self):
+        sample = generate(2, make_schema((3, 2)), 20, 0.7, seed=1)
+        result = fit(sample.matrix, 2, seed=0, max_iter=7, tol=0.0)
+        assert result.iterations == 7
+        assert not result.converged
+        assert len(result.loglik_trace) == 8
+
 
 class TestGenerate:
     def test_fixed_seed_identical_output(self):

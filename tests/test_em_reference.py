@@ -3,9 +3,12 @@
 ``reference_em`` keeps the per-feature EM with ``scipy.special.logsumexp``.
 ``sensecluster.em`` must give bit-identical posteriors, parameters,
 log-likelihood traces, iteration counts and assignments on seeded random
-schemas, with k = 1 included: for a single class every sum over features
-has an inner axis of length 1, where numpy would switch to pairwise
-summation if the features were reduced in one call.
+schemas, for every k up to the runner's ``evaluate.MAPPING_LIMIT``.
+k = 1 is included: for a single class every sum over features has an
+inner axis of length 1, where numpy would switch to pairwise summation if
+the features were reduced in one call. k = 8 and up are included too:
+numpy's sum over axis 1 changes its order of additions at 8 columns, so
+a change to the E-step's layout could round differently there alone.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from scipy.special import logsumexp
 
 import reference_em as reference
 from sensecluster import em
+from sensecluster.evaluate import MAPPING_LIMIT
 from sensecluster.features import Feature, FeatureMatrix, FeatureSchema
 
 CASES_PER_K = 8
@@ -44,7 +48,7 @@ def assert_bit_identical(got, expected):
     assert got.assignment.tobytes() == expected.assignment.tobytes()
 
 
-@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("k", range(1, MAPPING_LIMIT + 1))
 @pytest.mark.parametrize("tol", [0.0, 1e-6], ids=["tol0", "default-tol"])
 def test_fit_matches_reference(k, tol):
     rng = np.random.default_rng(1000 * k + int(tol == 0.0))

@@ -58,6 +58,15 @@ class TestConfig:
             make_config(paths, tmp_path / "o", feature_sets=("A", "a"))
         with pytest.raises(ValueError, match="duplicate algorithm"):
             make_config(paths, tmp_path / "o", algorithms=("em", "mcquitty", "EM"))
+        for fields, message in (
+            ({"em_max_iter": 0}, "max_iter"),
+            ({"em_max_iter": -5}, "max_iter"),
+            ({"em_tol": float("nan")}, "tol"),
+            ({"em_tol": -1e-6}, "tol"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make_config(paths, tmp_path / "o", **fields)
+        assert make_config(paths, tmp_path / "o", em_tol=0.0).em_tol == 0.0
 
     def test_load_config_file(self, corpus_dir):
         base, paths = corpus_dir
@@ -117,8 +126,20 @@ class TestConfig:
             ("[DEFAULT]\ntrials = 3\n", r"unknown config section \[DEFAULT\]"),
             ("[experiment]\ntrials = five\n", r"config key \[experiment\] trials: invalid"),
             ("[em]\ntol = small\n", r"config key \[em\] tol: could not convert"),
+            ("[em]\nmax_iter = -5\n", r"max_iter must be at least 1"),
+            ("[em]\ntol = nan\n", r"tol must be at least 0"),
         ],
-        ids=["key", "em-key", "section", "empty-section", "default", "int-value", "float-value"],
+        ids=[
+            "key",
+            "em-key",
+            "section",
+            "empty-section",
+            "default",
+            "int-value",
+            "float-value",
+            "em-max-iter",
+            "em-tol",
+        ],
     )
     def test_unknown_or_unreadable_keys_are_errors(self, corpus_dir, text, message):
         base, _ = corpus_dir
