@@ -13,9 +13,9 @@ and ``agglom.ward`` (on ``dissim.row_vectors``) and ``em.fit`` (on the
 feature matrix, with its default stopping rule) at k=2 and seed 1,
 recording the median of ``--repeat`` runs of each, the number of
 distinct rows of the mismatch matrix, and the interpreter's peak RSS.
-Every merge trace and assignment is recorded as a SHA-256 digest (of
-``merge_trace`` followed by the space-separated assignment, as the slow
-tests digest them), with the tie draws, and EM's assignment as the
+Every merge trace and assignment is recorded as a SHA-256 digest
+(``tests/conftest.py::digest``, of ``merge_trace`` followed by the
+space-separated assignment), with the tie draws, and EM's assignment as the
 digest of the space-separated assignment alone, so a fast but wrong
 build shows. The host's Python and numpy versions and CPU count are
 recorded too.
@@ -53,12 +53,6 @@ SETS = ("A", "B", "C")
 WORD, CATEGORY, SAMPLE_SEED, K, SEED = "drug", "noun", 1, 2, 1
 
 
-def digest(result, trace: str = "") -> str:
-    """SHA-256 of ``trace`` followed by the space-separated assignment."""
-    assignment = " ".join(map(str, result.assignment.tolist()))
-    return hashlib.sha256((trace + assignment).encode()).hexdigest()
-
-
 def median_time(repeat: int, call):
     """Median wall time of ``repeat`` calls, and the last call's result."""
     times = []
@@ -73,7 +67,7 @@ def measure_size(n: int, repeat: int) -> dict:
     """Every stage on every feature set at sample size n, in this process."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import numpy as np
-    from conftest import synth_sample
+    from conftest import digest, synth_sample
 
     from sensecluster import agglom, em
     from sensecluster.dissim import build, row_vectors

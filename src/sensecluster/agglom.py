@@ -64,18 +64,20 @@ Equal rows are at criterion 0 and every other pair at least 1
 (McQuitty) or 1/2 (Ward), so the driver makes every merge among equal
 rows first, drawing among the zero pairs. Which pairs tie then depends
 only on each slot's label, the first row equal to its cluster's rows, so
-those merges are replayed from the labels alone: the same pairs, ids,
-criteria (0.0), slot moves and generator calls, with no N x N matrix.
-The driver goes on from there over the G distinct rows, all N of them
-when each row is its own label. McQuitty's G x G start is the mismatch
-counts between them, equal to what its averages of equal counts give.
+those merges, N - max(G, k) for G distinct rows, are replayed from the
+labels alone: the same pairs, ids, criteria (0.0), slot moves and
+generator calls, with no N x N matrix. The driver goes on from there
+over the max(G, k) clusters left, all N when each row is its own label.
+McQuitty's start is the mismatch counts between the rows they copy,
+equal to what its averages of equal counts give.
 Ward's is n_a n_b / (n_a + n_b) ||x_a - x_b||^2 (see ``_ward_start``),
 exact from a float32 product for labelled points and from float64 row
 differences for the others; between singletons it is ||x_a - x_b||^2 / 2
 itself. After duplicate merges it rounds differently from the recurrence
 it replaces; as with the recurrence, these values only choose merges,
 and the tests check on the runner's data that every tie rounding splits
-is an exact tie. Float points must be finite.
+is an exact tie. Ward takes points while N^2 dim (2 max|x|)^2 is below
+the largest float64, so no value it computes overflows (see ``ward``).
 
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
 the merge at step t creates cluster id N+t. The final assignment is
@@ -161,16 +163,14 @@ def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
     return i, j, drew
 
 
-def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool] | None:
-    """Draw one of the tied pairs counted per slot in ``counts``: the
-    r-th in slot order, with the generator called only when more than
-    one pair ties. Returns the slot holding it, its rank among that
-    slot's pairs and whether the generator was called; None if no pair
-    ties."""
+def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool]:
+    """Draw one of the tied pairs counted per slot in ``counts``, of
+    which at least one must tie: the r-th in slot order, with the
+    generator called only when more than one pair ties. Returns the slot
+    holding it, its rank among that slot's pairs and whether the
+    generator was called."""
     cum = np.cumsum(counts)
     total = int(cum[-1])
-    if not total:
-        return None
     r = int(rng.integers(total)) if total > 1 else 0
     a = int(np.searchsorted(cum, r, side="right"))
     return a, r - int(cum[a] - counts[a]), total > 1
@@ -325,9 +325,11 @@ def _agglomerate(crit: np.ndarray, k: int, merge, state: _State) -> ClusterResul
 def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray:
     """Make, from the labels alone, the merges the driver makes first:
     those among rows with the same label, whose criterion is 0 while
-    every other pair's is at least 1/2. Returns the row that each active
-    slot's cluster copies: the labels themselves, with ``state`` left
-    fresh, if no two rows share a label.
+    every other pair's is at least 1/2. They are n - max(G, k) merges,
+    G the number of rows that label themselves: the driver stops at k
+    clusters, and no pair ties once each label holds one slot. Returns
+    the row that each active slot's cluster copies: the labels
+    themselves, with ``state`` left fresh, if no two rows share a label.
 
     ``labels`` gives each row the first row equal to it. Pairs of slots
     with one label are the tied pairs, so the r-th of them in row-major
@@ -343,12 +345,9 @@ def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray:
     later[order] = np.searchsorted(ranked, ranked, side="right") - np.arange(n) - 1
 
     slot = labels.copy()
-    m = n
-    while m > k:
-        drawn = _draw_tied(later[:m], state.rng)
-        if drawn is None:
-            break
-        i, r, drew = drawn
+    stop = max(np.count_nonzero(labels == np.arange(n)), k)
+    for m in range(n, stop, -1):
+        i, r, drew = _draw_tied(later[:m], state.rng)
         same = slot[:m] == slot[i]
         j = i + 1 + int(same[i + 1 :].nonzero()[0][r])
         state.join(i, j, 0.0, drew)
@@ -361,20 +360,16 @@ def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray:
         later[j + 1 : last] -= passed
         later[j] = np.count_nonzero(passed)
         slot[j] = slot[last]
-        m = last
-    return slot[:m]
+    return slot[:stop]
 
 
-def _float32_is_exact(pts: np.ndarray) -> bool:
+def _float32_is_exact(pts: np.ndarray, span: float) -> bool:
     """Whether float32 holds every partial sum of ``_ward_start``'s
-    product exactly: integer-typed points whose dim * (2 max|x|)^2,
-    which bounds every partial sum of a.b and of
+    product exactly: integer-typed points whose dim * span^2, with span
+    = 2 max|x|, which bounds every partial sum of a.b and of
     ||a||^2 + ||b||^2 - 2 a.b, is below 2^24. Mismatch-count rows
     (N dimensions, entries at most q) meet it while 4 N q^2 < 2^24."""
-    if not np.issubdtype(pts.dtype, np.integer):
-        return False
-    span = 2.0 * max(float(pts.max()), -float(pts.min())) if pts.size else 0.0
-    return pts.shape[1] * span * span < 2.0**24
+    return np.issubdtype(pts.dtype, np.integer) and pts.shape[1] * span * span < 2.0**24
 
 
 def _gather(a: np.ndarray, rows: np.ndarray, cols, dtype) -> np.ndarray:
@@ -389,8 +384,8 @@ def _gather(a: np.ndarray, rows: np.ndarray, cols, dtype) -> np.ndarray:
 def _ward_start(pts: np.ndarray, rows: np.ndarray, sizes: np.ndarray, exact: bool) -> np.ndarray:
     """Ward's criterion n_a n_b / (n_a + n_b) ||x_a - x_b||^2 between the
     clusters left by ``_replay_duplicates``, of sizes ``sizes`` and with
-    means ``pts[rows]``, inf on the diagonal; ``exact`` is
-    ``_float32_is_exact(pts)``.
+    means ``pts[rows]``, inf on the diagonal; ``exact`` tells whether
+    the points meet ``_float32_is_exact``.
 
     For ``exact`` points ||x_a - x_b||^2 / 2 is the product
     (||a||^2 + ||b||^2 - 2 a.b) / 2 over one float32 copy of the rows.
@@ -475,23 +470,26 @@ def ward(points, k: int, seed=None) -> ClusterResult:
 
     Integer-typed points within the bound of ``_float32_is_exact``, such
     as the runner's mismatch rows, are used as they are, without a
-    float64 copy; any other points are taken as float64, and must be
-    finite.
+    float64 copy; any other points are taken as float64. With span
+    2 max|x|, n^2 dim span^2 must be below the largest float64: then no
+    start entry, Lance-Williams term, mean or criterion overflows, and
+    nan or inf points fail it too.
     """
     pts = np.asarray(points)
     if not np.issubdtype(pts.dtype, np.integer):
         pts = pts.astype(np.float64, copy=False)
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    n = pts.shape[0]
+    n, dim = pts.shape
+    span = 2.0 * max(float(pts.max()), -float(pts.min())) if pts.size else 0.0
+    if not n * n * dim * span * span < np.finfo(np.float64).max:
+        raise ValueError("points must be finite, with n^2 dim (2 max|x|)^2 a finite float64")
     _check_k(k, n)
 
     state = _State(n, seed)
     # only points within the float32 bound are labelled: pairs of float
     # points within TIE_TOL of 0 would tie with equal rows
-    exact = _float32_is_exact(pts)
+    exact = _float32_is_exact(pts, span)
     labels = _row_labels(pts) if exact else np.arange(n)
     rows = _replay_duplicates(state, labels, k)
     crit = _ward_start(pts, rows, state.sizes, exact)

@@ -1,4 +1,6 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and result digests for the test suite."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -127,3 +129,11 @@ def synth_sample(word, category="noun", senses=("one", "two"), n=24, seed=0,
             tokens.append(Token(".", "other"))
         instances.append(Instance(tuple(tokens), target, morph, sense))
     return WordSample(word, category, tuple(instances), tuple(senses))
+
+
+def digest(result, trace: str = "") -> str:
+    """SHA-256 of ``trace`` followed by the space-separated assignment of
+    ``result``, as ``BENCH_stages.json`` records clustering results: with
+    their ``merge_trace`` for McQuitty and Ward, alone for EM."""
+    assignment = " ".join(map(str, result.assignment.tolist()))
+    return hashlib.sha256((trace + assignment).encode()).hexdigest()

@@ -398,6 +398,12 @@ def starts_taken(points):
 FLOAT32, LOOP = [True], [False]
 
 
+def float32_is_exact(points):
+    """``agglom._float32_is_exact`` at the span 2 max|x| of ``points``."""
+    span = 2.0 * float(np.abs(points.astype(np.float64)).max()) if points.size else 0.0
+    return agglom._float32_is_exact(points, span)
+
+
 class TestHalfSqDistances:
     @staticmethod
     def brute(points):
@@ -416,7 +422,7 @@ class TestHalfSqDistances:
         points = rng.integers(-1023, 1024, size=(30, dims))
         points[0], points[1] = -1023, 1023
         points[1, 0] = 1022
-        assert agglom._float32_is_exact(points) == (dims == 4)
+        assert float32_is_exact(points) == (dims == 4)
         assert starts_taken(points) == (FLOAT32 if dims == 4 else LOOP)
         starts = [float64_start(points)]
         if dims == 4:
@@ -479,7 +485,7 @@ class TestFloat32Init:
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
     def test_just_inside_the_bound_takes_float32(self, dtype):
         points = self.edge_points(1023, dtype=dtype)
-        assert agglom._float32_is_exact(points)
+        assert float32_is_exact(points)
         assert starts_taken(points) == FLOAT32
         got = self.assert_start_is_loop(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
@@ -491,7 +497,7 @@ class TestFloat32Init:
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int16])
     def test_at_the_bound_falls_back_to_float64(self, dtype):
         points = self.edge_points(1024, dtype=dtype)
-        assert not agglom._float32_is_exact(points)
+        assert not float32_is_exact(points)
         assert starts_taken(points) == LOOP
         got = float64_start(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
@@ -500,16 +506,18 @@ class TestFloat32Init:
     def test_a_negative_extreme_alone_breaks_the_bound(self):
         points = np.zeros((5, 4), dtype=np.int32)
         points[3, 1] = 1023
-        assert agglom._float32_is_exact(points)
+        assert float32_is_exact(points)
+        assert starts_taken(points) == FLOAT32
         points[3, 1] = -1024
-        assert not agglom._float32_is_exact(points)
+        assert not float32_is_exact(points)
+        assert starts_taken(points) == LOOP
 
     @pytest.mark.parametrize("dims", [64, 65])
     def test_uint8_full_range(self, dims):
         rng = np.random.default_rng(dims)
         points = rng.integers(0, 256, size=(150, dims), dtype=np.uint8)
         points[0], points[1] = 0, 255
-        assert agglom._float32_is_exact(points) == (dims == 64)
+        assert float32_is_exact(points) == (dims == 64)
         assert starts_taken(points) == (FLOAT32 if dims == 64 else LOOP)
         got = self.assert_start_is_loop(points) if dims == 64 else float64_start(points)
         assert np.array_equal(got, TestHalfSqDistances.brute(points))
@@ -521,12 +529,12 @@ class TestFloat32Init:
         n, dims = int(rng.integers(2, 300)), int(rng.integers(1, 80))
         high = int(rng.integers(1, 200))
         points = rng.integers(-high, high + 1, size=(n, dims), dtype=np.int32)
-        assert agglom._float32_is_exact(points)
+        assert float32_is_exact(points)
         self.assert_start_is_loop(points)
 
     def test_zero_width_points(self):
         points = np.zeros((4, 0), dtype=np.int32)
-        assert agglom._float32_is_exact(points)
+        assert float32_is_exact(points)
         self.assert_start_is_loop(points)
         result = ward(points, k=1, seed=0)
         assert result == ward(points.astype(np.float64), k=1, seed=0)
@@ -580,7 +588,7 @@ class TestGramInit:
         n, dims = int(rng.integers(2, 120)), int(rng.integers(1, 80))
         points = rng.integers(-(10**seed), 10**seed + 1, size=(n, dims))
         got = self.assert_loop_is_brute(points.astype(np.float64))
-        if agglom._float32_is_exact(points):
+        if float32_is_exact(points):
             TestFloat32Init.assert_bytes_equal(float32_start(points), got)
 
     def test_integer_points_just_inside_the_bound(self):
@@ -635,7 +643,7 @@ def uncollapsed(method, *args):
     matrix, Ward's from the float64 loop."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(agglom, "_row_labels", lambda rows: np.arange(len(rows)))
-        mp.setattr(agglom, "_float32_is_exact", lambda pts: False)
+        mp.setattr(agglom, "_float32_is_exact", lambda *_: False)
         return method(*args)
 
 
@@ -682,12 +690,14 @@ class TestDuplicateCollapse:
     """The merges among equal rows, replayed from their labels, against
     the driver making them."""
 
+    @staticmethod
+    def tie_heavy_values(features, levels):
+        """60 rows of few nominal values: many equal rows, as feature set A has."""
+        return np.random.default_rng(features * levels).integers(0, levels, size=(60, features))
+
     @pytest.mark.parametrize("features, levels", [(2, 3), (3, 3), (5, 2)])
     def test_tie_heavy_nominal_data(self, features, levels):
-        # 60 rows of few nominal values: many equal rows, as feature set A has
-        values = np.random.default_rng(features * levels).integers(
-            0, levels, size=(60, features)
-        )
+        values = self.tie_heavy_values(features, levels)
         d = mismatches(values)
         distinct = len(np.unique(values, axis=0))
         assert distinct < 60
@@ -696,6 +706,53 @@ class TestDuplicateCollapse:
                 assert_same_as_uncollapsed(mcquitty, d, k, seed)
                 assert_same_as_uncollapsed(ward, d.cells, k, seed)
                 assert_same_as_uncollapsed(ward, values, k, seed)
+
+    @staticmethod
+    def after_replay(method, *args):
+        """The labels ``method`` hands the duplicate replay, and the number
+        of merges and the generator state the replay leaves."""
+        seen = []
+
+        def spy(state, labels, k, replay=agglom._replay_duplicates):
+            rows = replay(state, labels, k)
+            seen.append((labels, len(state.merges), state.rng.bit_generator.state))
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom, "_replay_duplicates", spy)
+            method(*args)
+        [(labels, merges, rng_state)] = seen
+        return labels, (merges, rng_state)
+
+    @staticmethod
+    def driver_states(method, data, k, seed):
+        """The number of merges and the generator state of the uncollapsed
+        driver before its first merge and after each."""
+        states = [(0, np.random.default_rng(seed).bit_generator.state)]
+
+        def spy(state, *args, join=agglom._State.join):
+            join(state, *args)
+            states.append((len(state.merges), state.rng.bit_generator.state))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agglom._State, "join", spy)
+            uncollapsed(method, data, k, seed)
+        return states
+
+    @pytest.mark.parametrize("features, levels", [(2, 3), (3, 3), (5, 2)])
+    def test_replay_leaves_the_generator_where_the_driver_does(self, features, levels):
+        # the replay makes the driver's first n - max(G, k) merges, G the
+        # rows that label themselves, and calls the generator as it does
+        values = self.tie_heavy_values(features, levels)
+        d = mismatches(values)
+        n, distinct = len(values), len(np.unique(values, axis=0))
+        for method, data in ((mcquitty, d), (ward, d.cells), (ward, values)):
+            for seed in range(3):
+                for k in (1, distinct - 1, distinct, distinct + 1):
+                    labels, left = self.after_replay(method, data, k, seed)
+                    g = np.count_nonzero(labels == np.arange(n))
+                    assert g == distinct
+                    assert left == self.driver_states(method, data, k, seed)[n - max(g, k)]
 
     def test_integer_points_with_more_columns_than_rows(self):
         # a label is a row number, never a column number
@@ -787,7 +844,7 @@ class TestDuplicateCollapse:
     def test_other_points_take_the_driver(self, points):
         # no labeler: each row is its own label, the replay makes no
         # merge, and the start is the float64 loop over all rows
-        assert not agglom._float32_is_exact(points)
+        assert not float32_is_exact(points)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(agglom, "_row_labels", refuse)
             assert replayed(ward, points, 1, 0) == (list(range(len(points))), 0)

@@ -104,7 +104,8 @@ def test_float32_init_equals_float64_init(set_id):
     """Ward's float32 start over all the int32 mismatch rows at unit
     sizes is byte-equal to the float64 row-difference loop over them."""
     points = row_vectors(set_matrix(set_id))
-    assert points.dtype == np.int32 and agglom._float32_is_exact(points)
+    # counts are non-negative, so 2 max|x| is 2 max x
+    assert points.dtype == np.int32 and agglom._float32_is_exact(points, 2.0 * points.max())
     got = agglom._ward_start(points, np.arange(N_LARGE), np.ones(N_LARGE), True)
     expected = agglom._ward_start(points, np.arange(N_LARGE), np.ones(N_LARGE), False)
     assert got.dtype == expected.dtype == np.float64
@@ -291,6 +292,48 @@ def test_ward_tie_split_by_rounding_is_a_true_tie(seed, monkeypatch):
     assert min(exact.values()) == Fraction(125, 2)
     assert tied == {pair for pair, value in exact.items() if value == Fraction(125, 2)}
     assert len(tied) == 4
+
+
+class TestWardPointsBound:
+    """Ward takes points while n^2 dim (2 max|x|)^2 is below the largest
+    float64, so that no criterion it computes can overflow."""
+
+    # four points in three dimensions: opposite corners, a third corner
+    # and one point between
+    SPREAD = np.array([[1, 1, 1], [-1, -1, -1], [1, -1, 1], [0.5, 0.25, -1]])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0], [1e200], [-1e200]],  # an inf minimum, merged into a nan row
+            [[0.0], [1e154], [-1e154]],  # criteria 5e307 and inf, as the reference's
+            [[0.0], [1.0], [np.nan]],
+            [[0.0], [1.0], [np.inf]],
+            [[0.0], [1.0], [-np.inf]],
+            1e153 * SPREAD,  # n^2 dim (2 max|x|)^2 = 1.92e308
+        ],
+        ids=["1e200", "1e154", "nan", "inf", "-inf", "1e153-4x3"],
+    )
+    def test_points_past_the_bound_are_rejected(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            agglom.ward(np.array(points), 1, 5)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([[0.0], [1e150], [-1e150]]),
+            9e152 * SPREAD,  # n^2 dim (2 max|x|)^2 = 1.56e308
+            np.array([[np.iinfo(np.int64).min, 0], [np.iinfo(np.int64).max, 0], [0, 1]]),
+            np.array([[np.iinfo(np.int64).max, -1], [np.iinfo(np.int64).min, 1]] * 2),
+        ],
+        ids=["1e150", "9e152-4x3", "int64-extremes", "int64-duplicates"],
+    )
+    def test_points_inside_the_bound_match_the_reference(self, points):
+        for k in range(1, len(points) + 1):
+            for seed in range(3):
+                got = agglom.ward(points, k, seed)
+                assert all(math.isfinite(mg.criterion) for mg in got.merges)
+                assert_identical(got, reference.ward(points, k, seed))
 
 
 class TestSmallEquivalence:

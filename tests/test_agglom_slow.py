@@ -10,14 +10,13 @@ the same sample, k and seed. At N = 300 every pick of both pick paths is
 checked against exact rational criteria.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 import reference_agglom as reference
-from conftest import synth_sample
+from conftest import digest, synth_sample
 from sensecluster import agglom
 from sensecluster.dissim import build, row_vectors
 from sensecluster.features import build_schema, extract
@@ -31,11 +30,6 @@ RECORDED = json.loads((Path(__file__).resolve().parent.parent / "BENCH_stages.js
 def mismatches(n, seed, set_id):
     sample = synth_sample("drug", "noun", n=n, seed=seed)
     return build(extract(sample, build_schema(sample, set_id)))
-
-
-def digest(result):
-    assignment = " ".join(map(str, result.assignment.tolist()))
-    return hashlib.sha256((agglom.merge_trace(result) + assignment).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -60,7 +54,7 @@ def test_matches_recorded_digests_at_2000(set_id):
         ("mcquitty", agglom.mcquitty(d, 2, 1)),
     ):
         expected = recorded[f"{method}_ties_drawn"], recorded[f"{method}_sha256"]
-        assert (result.ties_drawn, digest(result)) == expected
+        assert (result.ties_drawn, digest(result, agglom.merge_trace(result))) == expected
 
 
 @pytest.mark.parametrize("cache_above", [agglom.CACHE_ABOVE, 2], ids=["default", "cache2"])
