@@ -7,13 +7,19 @@ following record is one occurrence with its tokenized, POS-tagged
 sentence, the target position, a morphology tag and an optional gold
 sense used only for evaluation.
 
+Every corpus rule lives in the value types: ``Token``, ``Instance`` and
+``WordSample`` raise ``ValueError`` for any value a corpus file may not
+hold, so a sample built in code passes the same checks as one read from
+a file. ``load_corpus`` only parses the JSON shapes and adds the line of
+the record a rule rejects.
+
 This module owns the word categories: ``CATEGORIES`` in the order reports
 list them, and ``MORPH_CATEGORIES``, those whose instances carry a morph
 tag (adjectives carry none, so their feature sets have no M feature).
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 POS_TAGS = ("noun", "verb", "adjective", "adverb", "other")
 CATEGORIES = ("adjective", "noun", "verb")
@@ -38,6 +44,8 @@ class Token:
     pos: str
 
     def __post_init__(self):
+        if not (isinstance(self.text, str) and isinstance(self.pos, str)):
+            raise ValueError("each token must be a [text, pos] pair")
         if not self.text:
             raise ValueError("empty token text")
         if self.pos not in POS_TAGS:
@@ -57,7 +65,8 @@ class Instance:
     (e.g. singular/plural for nouns, a tense tag for verbs); its observed
     value set defines the morphology feature alphabet for a sample.
     ``gold_sense`` is optional and used only to evaluate discovered
-    clusters.
+    clusters. ``target_index`` is a Python ``int`` (not a bool), as the
+    corpus file holds it.
     """
 
     tokens: tuple[Token, ...]
@@ -67,8 +76,16 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
+        if not self.tokens:
+            raise ValueError("tokens must be a non-empty array")
+        if not isinstance(self.target_index, int) or isinstance(self.target_index, bool):
+            raise ValueError("target must be an integer")
         if not 0 <= self.target_index < len(self.tokens):
             raise ValueError("target index out of range")
+        if not isinstance(self.morph, str):
+            raise ValueError("morph must be a string")
+        if self.gold_sense is not None and not isinstance(self.gold_sense, str):
+            raise ValueError("sense must be a string")
 
     @property
     def target(self) -> Token:
@@ -79,6 +96,7 @@ class Instance:
 class WordSample:
     """All instances of one ambiguous word plus its sense inventory.
 
+    The inventory is a list or tuple of strings, held as a tuple.
     Immutable after construction and safe to share across threads.
     """
 
@@ -88,24 +106,36 @@ class WordSample:
     sense_inventory: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "sense_inventory", tuple(self.sense_inventory))
-        if not self.word:
-            raise ValueError("empty word")
+        if not isinstance(self.word, str) or not self.word:
+            raise ValueError("word must be a non-empty string")
         if self.category not in CATEGORIES:
             raise ValueError(f"unknown category {self.category!r}")
-        if len(self.sense_inventory) < 2:
+        senses = self.sense_inventory
+        if not isinstance(senses, (list, tuple)) or not all(isinstance(s, str) and s for s in senses):
+            raise ValueError("senses must be a list of non-empty strings")
+        if len(senses) < 2:
             raise ValueError("sense inventory must declare at least 2 senses")
-        if len(set(self.sense_inventory)) != len(self.sense_inventory):
+        if len(set(senses)) != len(senses):
             raise ValueError("duplicate sense in inventory")
-        needs_morph = self.category in MORPH_CATEGORIES
+        object.__setattr__(self, "sense_inventory", tuple(senses))
+        object.__setattr__(self, "instances", tuple(self.instances))
         for i, inst in enumerate(self.instances):
-            if inst.gold_sense is not None and inst.gold_sense not in self.sense_inventory:
-                raise ValueError(
-                    f"instance {i}: sense {inst.gold_sense!r} not in declared inventory"
-                )
-            if needs_morph and not inst.morph:
-                raise ValueError(f"instance {i}: missing morph tag for {self.category}")
+            try:
+                self.check_instance(inst)
+            except ValueError as exc:
+                raise ValueError(f"instance {i}: {exc}") from None
+
+    def check_instance(self, inst: Instance) -> None:
+        """Raise ``ValueError`` unless ``inst`` fits this sample.
+
+        It needs a morph tag if the category has them, and its gold sense,
+        if any, must be in the inventory. ``load_corpus`` checks each
+        record through this, and the constructor checks every instance.
+        """
+        if self.category in MORPH_CATEGORIES and not inst.morph:
+            raise ValueError(f"missing morph tag for {self.category}")
+        if inst.gold_sense is not None and inst.gold_sense not in self.sense_inventory:
+            raise ValueError(f"sense {inst.gold_sense!r} not in declared inventory")
 
     @property
     def n(self) -> int:
@@ -117,7 +147,11 @@ class WordSample:
 
 
 def load_corpus(path) -> WordSample:
-    """Read and validate a corpus file; instance order follows file order."""
+    """Read a corpus file; instance order follows file order.
+
+    The value types check every corpus rule; a value one rejects becomes
+    a ``CorpusError`` naming the line of its record.
+    """
     # split on LF only: str.splitlines would also break inside token text
     # holding U+0085, U+2028 or U+2029, which the JSON is written with raw
     with open(path, encoding="utf-8") as fh:
@@ -134,58 +168,27 @@ def load_corpus(path) -> WordSample:
         raise CorpusError("empty corpus file")
 
     lineno, header = records[0]
-    if not isinstance(header, dict) or not {"word", "category", "senses"} <= header.keys():
-        raise CorpusError("header must declare word, category and senses", line=lineno)
-    word = header["word"]
-    category = header["category"]
-    senses = header["senses"]
-    if not isinstance(word, str) or not word:
-        raise CorpusError("word must be a non-empty string", line=lineno)
-    if category not in CATEGORIES:
-        raise CorpusError(f"unknown category {category!r}", line=lineno)
-    if not isinstance(senses, list) or not all(isinstance(s, str) and s for s in senses):
-        raise CorpusError("senses must be a list of non-empty strings", line=lineno)
-
     instances = []
-    for lineno, rec in records[1:]:
-        instances.append(_parse_instance(rec, lineno, category, senses))
     try:
-        return WordSample(word, category, tuple(instances), tuple(senses))
+        if not isinstance(header, dict) or not {"word", "category", "senses"} <= header.keys():
+            raise ValueError("header must declare word, category and senses")
+        sample = WordSample(header["word"], header["category"], (), header["senses"])
+        for lineno, rec in records[1:]:
+            if not isinstance(rec, dict) or not {"tokens", "target"} <= rec.keys():
+                raise ValueError("instance record must carry tokens and target")
+            if not isinstance(rec["tokens"], list):
+                raise ValueError("tokens must be a non-empty array")
+            tokens = []
+            for pair in rec["tokens"]:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ValueError("each token must be a [text, pos] pair")
+                tokens.append(Token(*pair))
+            inst = Instance(tokens, rec["target"], rec.get("morph", ""), rec.get("sense"))
+            sample.check_instance(inst)
+            instances.append(inst)
     except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
-
-
-def _parse_instance(rec, lineno, category, senses) -> Instance:
-    if not isinstance(rec, dict) or "tokens" not in rec or "target" not in rec:
-        raise CorpusError("instance record must carry tokens and target", line=lineno)
-    raw_tokens = rec["tokens"]
-    if not isinstance(raw_tokens, list) or not raw_tokens:
-        raise CorpusError("tokens must be a non-empty array", line=lineno)
-    tokens = []
-    for pair in raw_tokens:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
-            raise CorpusError("each token must be a [text, pos] pair", line=lineno)
-        try:
-            tokens.append(Token(pair[0], pair[1]))
-        except ValueError as exc:
-            raise CorpusError(str(exc), line=lineno) from exc
-    target = rec["target"]
-    if not isinstance(target, int) or isinstance(target, bool):
-        raise CorpusError("target must be an integer", line=lineno)
-    if not 0 <= target < len(tokens):
-        raise CorpusError("target index out of range", line=lineno)
-    morph = rec.get("morph", "")
-    if not isinstance(morph, str):
-        raise CorpusError("morph must be a string", line=lineno)
-    if category in MORPH_CATEGORIES and not morph:
-        raise CorpusError(f"missing morph tag for {category}", line=lineno)
-    sense = rec.get("sense")
-    if sense is not None:
-        if not isinstance(sense, str):
-            raise CorpusError("sense must be a string", line=lineno)
-        if sense not in senses:
-            raise CorpusError(f"sense {sense!r} not in declared inventory", line=lineno)
-    return Instance(tuple(tokens), target, morph, sense)
+        raise CorpusError(str(exc), line=lineno) from exc
+    return replace(sample, instances=instances)
 
 
 def dumps_corpus(sample: WordSample) -> str:

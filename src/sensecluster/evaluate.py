@@ -261,10 +261,14 @@ def _two_tailed_p(t: float, df: int) -> float:
     factors from its value at a = 1/2 or 1: a difference of log-gammas
     would lose about 1e-12 of relative accuracy at df in the hundreds.
     Over df 2-200 and |t| up to 50, p is within 3e-14 of scipy's
-    ``betainc``. The product takes O(df) steps and its rounding grows
-    with df: the relative error against ``betainc`` was 2.3e-14 up to
-    df=200, 3.6e-12 at df=1e5 and 2.8e-11 at df=1e6. The runner's df is
-    the two cells' trial counts minus 2.
+    ``betainc``; the relative difference was 3.6e-12 at df=1e5 and
+    2.8e-11 at df=1e6. The product's only cost is time: O(df) steps,
+    45 ms per call at df=1e6 on a 2-vCPU x86 host, and at t=2.5, df=1e6
+    it was within 3.5e-16 of the exact ratio (mpmath, 50 digits). The
+    error that grows with df comes from x rounded to a float64, which
+    the ``betainc`` oracle shares: at t=2.5, df=1e6, ``x**a`` on it was
+    off by 2.2e-11, and ``betainc`` given the same x by 2.4e-11. The
+    runner's df is the two cells' trial counts minus 2.
     """
     x = df / (df + t * t)
     a = df / 2.0

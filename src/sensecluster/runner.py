@@ -96,12 +96,16 @@ def load_config(path) -> ExperimentConfig:
     """Read the declarative INI config; relative paths resolve against it.
 
     Every section other than ``[corpora]`` (one ``word = path`` per corpus)
-    is read through ``_CONFIG_KEYS``; an unknown section or key is an error.
+    is read through ``_CONFIG_KEYS``; an unknown section or key is an error,
+    and so is a line the INI parser cannot read.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(_syntax_error(exc)) from None
     base = Path(path).resolve().parent
 
     if parser.defaults():  # they would leak into [corpora] as words
@@ -125,6 +129,19 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(f"config key [{section}] {key}: {exc}") from None
             kwargs[name] = str((base / value).resolve()) if isinstance(value, Path) else value
     return ExperimentConfig(**kwargs)
+
+
+def _syntax_error(exc: configparser.Error) -> str:
+    """One line naming the config line ``read_file`` rejected and why."""
+    if isinstance(exc, configparser.DuplicateSectionError):
+        what = f"repeated section [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        what = f"repeated key [{exc.section}] {exc.option}"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        what = "text before the first section header"
+    else:  # ParsingError lists every unreadable line; name the first
+        return f"config line {exc.errors[0][0]}: not a key = value line"
+    return f"config line {exc.lineno}: {what}"
 
 
 def trial_seed(master: int, word: str, set_id: str, algorithm: str, trial: int) -> int:

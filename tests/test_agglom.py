@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -918,6 +922,35 @@ class TestDuplicateCollapse:
             method, data = cases[case]
             assert method(data, k, seed) == result
             assert merge_trace(method(data, k, seed)) == merge_trace(result)
+
+
+def hash_seed_report() -> str:
+    """Merge traces, ties_drawn and assignments of McQuitty and Ward on
+    60 tie-heavy rows with duplicates, at k = 2 and seeds 0-2."""
+    values = TestDuplicateCollapse.tie_heavy_values(5, 2)
+    assert len(np.unique(values, axis=0)) < len(values)
+    d = mismatches(values)
+    lines = []
+    for method, data in ((mcquitty, d), (ward, d.cells), (ward, values)):
+        for seed in range(3):
+            result = method(data, 2, seed)
+            assert result.ties_drawn > 0
+            lines += [merge_trace(result), f"{result.ties_drawn} {result.assignment.tolist()}"]
+    return "\n".join(lines)
+
+
+def test_duplicate_collapse_ignores_the_hash_seed():
+    # _row_labels groups rows by hash(bytes), which PYTHONHASHSEED salts
+    path = os.pathsep.join((str(Path(agglom.__file__).parents[1]), str(Path(__file__).parent)))
+    code = "from test_agglom import hash_seed_report; print(hash_seed_report())"
+    reports = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        ).stdout
+        for seed in ("0", "1", "4242")
+    }
+    assert reports == {hash_seed_report() + "\n"}
 
 
 def record(method, data, names):

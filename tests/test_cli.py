@@ -205,6 +205,29 @@ class TestRun:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[corpora]\nalpha = a.jsonl\nalpha = b.jsonl\n",
+             "config line 3: repeated key [corpora] alpha"),
+            ("[corpora]\nalpha = a.jsonl\n[em]\ntol = 0\n[corpora]\nbeta = b.jsonl\n",
+             "config line 5: repeated section [corpora]"),
+            ("trials = 3\n[corpora]\nalpha = a.jsonl\n",
+             "config line 1: text before the first section header"),
+            ("[corpora]\nalpha = a.jsonl\n[experiment]\ntrials 3\nseed\n",
+             "config line 4: not a key = value line"),
+        ],
+        ids=["repeated-key", "repeated-section", "before-any-section", "no-equals"],
+    )
+    def test_config_line_the_parser_cannot_read_is_an_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_corpus_gives_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

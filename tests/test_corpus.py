@@ -1,5 +1,6 @@
 """Corpus model, file format and sense distribution."""
 
+import json
 import math
 
 import pytest
@@ -115,6 +116,96 @@ class TestLoad:
         bad = INSTANCE.replace('"morph":"singular",', "")
         with pytest.raises(CorpusError, match="morph"):
             load_corpus(write(tmp_path, HEADER, bad))
+
+
+HEAD = json.loads(HEADER)
+RECORD = json.loads(INSTANCE)
+TOKENS = (Token("The", "other"), Token("drug", "noun"), Token("works", "verb"))
+SENSES = ("medicine", "narcotic")
+
+
+def record(**fields):
+    return json.dumps(dict(RECORD, **fields))
+
+
+# (line of the bad record, its changed fields, the constructor call, message);
+# a file holds the header, one good record, then the record under test
+RULES = {
+    "token-text-type": (3, {"tokens": [[5, "noun"]]}, lambda: Token(5, "noun"),
+                        "each token must be a [text, pos] pair"),
+    "token-pos-type": (3, {"tokens": [["drug", 5]]}, lambda: Token("drug", 5),
+                       "each token must be a [text, pos] pair"),
+    "token-text-empty": (3, {"tokens": [["", "noun"]]}, lambda: Token("", "noun"),
+                         "empty token text"),
+    "token-pos-unknown": (3, {"tokens": [["drug", "nn"]]}, lambda: Token("drug", "nn"),
+                          "unknown POS tag 'nn'"),
+    "tokens-empty": (3, {"tokens": [], "target": 0}, lambda: Instance((), 0),
+                     "tokens must be a non-empty array"),
+    "target-bool": (3, {"target": True}, lambda: Instance(TOKENS, True),
+                    "target must be an integer"),
+    "target-float": (3, {"target": 1.0}, lambda: Instance(TOKENS, 1.0),
+                     "target must be an integer"),
+    "target-range": (3, {"target": 3}, lambda: Instance(TOKENS, 3),
+                     "target index out of range"),
+    "morph-type": (3, {"morph": 3}, lambda: Instance(TOKENS, 0, 3),
+                   "morph must be a string"),
+    "sense-type": (3, {"sense": 5}, lambda: Instance(TOKENS, 1, "singular", 5),
+                   "sense must be a string"),
+    "word-type": (1, {"word": 7}, lambda: WordSample(7, "noun", (), ("x", "y")),
+                  "word must be a non-empty string"),
+    "word-empty": (1, {"word": ""}, lambda: WordSample("", "noun", (), SENSES),
+                   "word must be a non-empty string"),
+    "category": (1, {"category": "gerund"}, lambda: WordSample("drug", "gerund", (), SENSES),
+                 "unknown category 'gerund'"),
+    "senses-empty-string": (1, {"senses": ["", "y"]}, lambda: WordSample("w", "noun", (), ("", "y")),
+                            "senses must be a list of non-empty strings"),
+    "senses-not-a-list": (1, {"senses": "xy"}, lambda: WordSample("w", "noun", (), "xy"),
+                          "senses must be a list of non-empty strings"),
+    "senses-one": (1, {"senses": ["only"]}, lambda: WordSample("w", "noun", (), ("only",)),
+                   "sense inventory must declare at least 2 senses"),
+    "senses-repeated": (1, {"senses": ["a", "a"]}, lambda: WordSample("w", "noun", (), ("a", "a")),
+                        "duplicate sense in inventory"),
+    "morph-missing": (3, {"morph": ""},
+                      lambda: WordSample("drug", "noun", (Instance(TOKENS, 1),), SENSES),
+                      "instance 0: missing morph tag for noun"),
+    "sense-foreign": (3, {"sense": "poison"},
+                      lambda: WordSample("drug", "noun", (Instance(TOKENS, 1, "singular", "poison"),), SENSES),
+                      "instance 0: sense 'poison' not in declared inventory"),
+}
+
+
+class TestRules:
+    """Each corpus rule says the same through a file and through the constructor."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_file_and_constructor_reject_alike(self, tmp_path, rule):
+        line, fields, construct, message = RULES[rule]
+        head, bad = (json.dumps(dict(HEAD, **fields)), record()) if line == 1 else (HEADER, record(**fields))
+        path = write(tmp_path, head, INSTANCE, bad)
+        with pytest.raises(CorpusError) as from_file:
+            load_corpus(path)
+        with pytest.raises(ValueError) as from_code:
+            construct()
+        assert from_file.value.line == line
+        # the constructor names the instance where the file names the line
+        assert str(from_file.value) == f"line {line}: {message.removeprefix('instance 0: ')}"
+        assert str(from_code.value) == message
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['["drug","noun"]', INSTANCE], "line 1: header must declare word, category and senses"),
+            ([HEADER, '{"target":0}'], "line 2: instance record must carry tokens and target"),
+            ([HEADER, "", record(tokens="drug")], "line 3: tokens must be a non-empty array"),
+            ([HEADER, "", record(tokens=[["The", "other", "x"]])], "line 3: each token must be a [text, pos] pair"),
+            ([HEADER, "", record(tokens=["drug"])], "line 3: each token must be a [text, pos] pair"),
+        ],
+        ids=["header-not-an-object", "no-tokens", "tokens-not-an-array", "triple", "bare-string"],
+    )
+    def test_shapes_only_a_file_can_hold(self, tmp_path, lines, message):
+        with pytest.raises(CorpusError) as exc:
+            load_corpus(write(tmp_path, *lines))
+        assert str(exc.value) == message
 
 
 class TestRoundTrip:
