@@ -38,14 +38,14 @@ generator: the r-th tied pair in row-major upper-triangle order of the
 active slots, with the generator called only when more than one pair
 ties. Without ties the outcome is seed-independent. While more than
 CACHE_ABOVE clusters are active, the minimum comes from cached row
-minima in O(m), and the r-th tied pair from per-row counts of tied
-entries right of the diagonal. The counts are updated in O(m) per merge
-while the minimum holds and recounted over the rows near a new minimum
-when it moves. At or below CACHE_ABOVE a full scan of the matrix is
-cheaper than that bookkeeping: one minimum, and the flat indices of
-the entries within the tolerance of it in a precomputed strict upper
-triangle, of which the r-th is drawn when more than one pair ties.
-Both paths pick the same pair and consume the generator the same way.
+minima and the r-th tied pair from per-row counts of tied entries right
+of the diagonal. ``_MinCache.move`` keeps both in O(m) per merge, the
+counts by ``_untie``, the one rule for a slot move, which the duplicate
+replay shares; a new minimum recounts the rows near it. At or below
+CACHE_ABOVE a full scan is cheaper than that bookkeeping: one minimum
+and the flat indices of the entries within the tolerance of it in a
+precomputed strict upper triangle. Both paths pick the same pair and
+consume the generator the same way.
 
 Both methods start one way: row labels, a replay of the merges among
 equal rows, one start matrix over the rows left, then the driver.
@@ -69,15 +69,15 @@ labels alone: the same pairs, ids, criteria (0.0), slot moves and
 generator calls, with no N x N matrix. The driver goes on from there
 over the max(G, k) clusters left, all N when each row is its own label.
 McQuitty's start is the mismatch counts between the rows they copy,
-equal to what its averages of equal counts give.
-Ward's is n_a n_b / (n_a + n_b) ||x_a - x_b||^2 (see ``_ward_start``),
-exact from a float32 product for labelled points and from float64 row
-differences for the others; between singletons it is ||x_a - x_b||^2 / 2
-itself. After duplicate merges it rounds differently from the recurrence
-it replaces; as with the recurrence, these values only choose merges,
-and the tests check on the runner's data that every tie rounding splits
-is an exact tie. Ward takes points while N^2 dim (2 max|x|)^2 is below
-the largest float64, so no value it computes overflows (see ``ward``).
+equal to what its averages of equal counts give. Ward's is
+n_a n_b / (n_a + n_b) ||x_a - x_b||^2 (see ``_ward_start``), exact from
+a float32 product for labelled points and from float64 row differences
+for the others; between singletons it is ||x_a - x_b||^2 / 2 itself.
+After duplicate merges it rounds differently from the recurrence it
+replaces; as with the recurrence, these values only choose merges, and
+the tests check on the runner's data that every tie rounding splits is
+an exact tie. Ward takes points while N^2 dim (2 max|x|)^2 is below the
+largest float64, so no value it computes overflows (see ``ward``).
 
 Merges are recorded scipy-style: observations are clusters 0..N-1 and
 the merge at step t creates cluster id N+t. The final assignment is
@@ -176,6 +176,29 @@ def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool]:
     return a, r - int(cum[a] - counts[a]), total > 1
 
 
+def _untie(counts: np.ndarray, j: int, last: int, near: np.ndarray, passed: np.ndarray) -> None:
+    """Update per-slot counts of the later tied slots as slot j leaves and
+    slot ``last`` moves into it: ``near[s]`` tells whether slot s < j ties
+    with j, ``passed`` whether each slot between j and last ties with last."""
+    counts[:j] -= near[:j]
+    counts[j + 1 : last] -= passed
+    counts[j] = np.count_nonzero(passed)
+
+
+def _move(crit: np.ndarray, i: int, j: int, m: int, row: np.ndarray) -> None:
+    """Put ``row``, the merged cluster's criteria against the m active
+    slots, in slot i of ``crit`` and move slot m-1 into j; ``row`` is used up."""
+    # the row copy sets crit[j, last] = inf, which the column copy moves to crit[j, j]
+    last = m - 1
+    row[j] = row[last]
+    crit[j, :m] = crit[last, :m]
+    crit[:m, j] = crit[:m, last]
+    row = row[:last]
+    row[i] = np.inf
+    crit[i, :last] = row
+    crit[:last, i] = row
+
+
 class _MinCache:
     """Row minima and tie counts of the active criterion block.
 
@@ -210,32 +233,23 @@ class _MinCache:
         b = a + 1 + int(np.flatnonzero(crit[a, a + 1 : m] <= thr)[r])
         return a, b, drew
 
-    def retire(self, i: int, j: int, m: int, row: np.ndarray) -> np.ndarray:
-        """Account for merging slots i < j into i, before slot m-1 moves to j.
-
-        ``row`` holds the merged cluster's new criteria against the m
-        active slots. Returns the rows whose minimum may have risen.
-        """
+    def move(self, i: int, j: int, m: int, row: np.ndarray) -> None:
+        """Merge slots i < j into i and move slot m-1 into j, as ``_move``
+        does, keeping the minima and tie counts of the slots left."""
         crit, thr, ties = self.crit, self.thr, self.ties
         last = m - 1
-        ci, cj, cl = crit[i, :m], crit[j, :m], crit[last, :m]
-        # column i is replaced, column j removed, column last moves to j
+        ci, cj = crit[i, :m], crit[j, :m]
+        # column i is replaced; slot i itself is recounted after the move
         ties[:i] += row[:i] <= thr
         ties[:i] -= ci[:i] <= thr
-        ties[:j] -= cj[:j] <= thr  # slot i is recounted in admit
-        ties[j + 1 : last] -= cl[j + 1 : last] <= thr
+        _untie(ties, j, last, cj[:j] <= thr, crit[last, j + 1 : last] <= thr)
         rowmin = self.rowmin[:m]
-        stale = np.flatnonzero((np.minimum(ci, cj) <= rowmin) & (row > rowmin))
+        # the rows whose minimum may have risen, and the two rewritten slots
+        fresh = np.append(np.flatnonzero((np.minimum(ci, cj) <= rowmin) & (row > rowmin)), (i, j))
         np.minimum(rowmin, row, out=rowmin)
-        return stale
-
-    def admit(self, i: int, j: int, m: int, stale: np.ndarray) -> None:
-        """Refresh the stale rows, the merged slot i and the moved slot j."""
-        crit = self.crit
-        self.rowmin[stale] = crit[stale, :m].min(axis=1)
-        for s in (i, j):
-            self.rowmin[s] = crit[s, :m].min()
-            self.ties[s] = np.count_nonzero(crit[s, s + 1 : m] <= self.thr)
+        _move(crit, i, j, m, row)
+        self.rowmin[fresh] = crit[fresh, :last].min(axis=1)
+        ties[i] = np.count_nonzero(crit[i, i + 1 : last] <= thr)
 
 
 class _State:
@@ -300,25 +314,12 @@ def _agglomerate(crit: np.ndarray, k: int, merge, state: _State) -> ClusterResul
     for m in range(len(state.ids), k, -1):
         cached = m > CACHE_ABOVE
         i, j, drew = cache.pick(m, rng) if cached else _pick_min_pair(crit[:m, :m], rng)
-        ids = state.ids
-        value, row = merge(i, j, state.sizes[:m], ids[i], ids[j], state.next_id)
-        if cached:
-            stale = cache.retire(i, j, m, row)
+        value, row = merge(i, j, state.sizes[:m], state.ids[i], state.ids[j], state.next_id)
         state.join(i, j, value, drew)
-
-        # the row copy sets crit[j, last] = inf, which the column copy moves to crit[j, j]
-        last = m - 1
-        row[j] = row[last]
-        crit[j, :m] = crit[last, :m]
-        crit[:m, j] = crit[:m, last]
-
-        row = row[:last]
-        row[i] = np.inf
-        crit[i, :last] = row
-        crit[:last, i] = row
         if cached:
-            cache.admit(i, j, last, stale)
-
+            cache.move(i, j, m, row)
+        else:
+            _move(crit, i, j, m, row)
     return state.result(k)
 
 
@@ -332,11 +333,10 @@ def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray:
     themselves, with ``state`` left fresh, if no two rows share a label.
 
     ``labels`` gives each row the first row equal to it. Pairs of slots
-    with one label are the tied pairs, so the r-th of them in row-major
-    upper-triangle order, the generator call, the recorded criterion 0.0
-    and the slot moves are the driver's. As in ``_MinCache.pick``, the
-    pair is drawn by ``_draw_tied`` from per-slot counts of the later
-    slots with the same label, kept in O(m) per merge.
+    with one label are the tied pairs, so the pair drawn, the generator
+    call, the criterion 0.0 and the slot moves are the driver's: as in
+    ``_MinCache``, ``_draw_tied`` draws from per-slot counts of the later
+    tied slots, here those with the same label, kept by ``_untie``.
     """
     n = labels.size
     order = np.argsort(labels, kind="stable")
@@ -351,14 +351,8 @@ def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray:
         same = slot[:m] == slot[i]
         j = i + 1 + int(same[i + 1 :].nonzero()[0][r])
         state.join(i, j, 0.0, drew)
-
-        # slot j leaves the earlier slots of its label, and the last
-        # slot, moving into j, leaves those of its label that it passes
         last = m - 1
-        later[:j] -= same[:j]
-        passed = slot[j + 1 : last] == slot[last]
-        later[j + 1 : last] -= passed
-        later[j] = np.count_nonzero(passed)
+        _untie(later, j, last, same, slot[j + 1 : last] == slot[last])
         slot[j] = slot[last]
     return slot[:stop]
 

@@ -48,6 +48,7 @@ class Token:
             raise ValueError("each token must be a [text, pos] pair")
         if not self.text:
             raise ValueError("empty token text")
+        self.text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
         if self.pos not in POS_TAGS:
             raise ValueError(f"unknown POS tag {self.pos!r}")
 
@@ -78,6 +79,8 @@ class Instance:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise ValueError("tokens must be a non-empty array")
+        if not all(isinstance(t, Token) for t in self.tokens):
+            raise ValueError("each token must be a Token")
         if not isinstance(self.target_index, int) or isinstance(self.target_index, bool):
             raise ValueError("target must be an integer")
         if not 0 <= self.target_index < len(self.tokens):
@@ -86,6 +89,7 @@ class Instance:
             raise ValueError("morph must be a string")
         if self.gold_sense is not None and not isinstance(self.gold_sense, str):
             raise ValueError("sense must be a string")
+        self.morph.encode("utf-8")  # a gold sense must be one of the sample's checked senses
 
     @property
     def target(self) -> Token:
@@ -113,6 +117,8 @@ class WordSample:
         senses = self.sense_inventory
         if not isinstance(senses, (list, tuple)) or not all(isinstance(s, str) and s for s in senses):
             raise ValueError("senses must be a list of non-empty strings")
+        for text in (self.word, *senses):
+            text.encode("utf-8")
         if len(senses) < 2:
             raise ValueError("sense inventory must declare at least 2 senses")
         if len(set(senses)) != len(senses):

@@ -97,9 +97,9 @@ def load_config(path) -> ExperimentConfig:
 
     Every section other than ``[corpora]`` (one ``word = path`` per corpus)
     is read through ``_CONFIG_KEYS``; an unknown section or key is an error,
-    and so is a line the INI parser cannot read.
+    and so is a line the INI parser cannot read. Values are literal, ``%`` too.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str
     with open(path, encoding="utf-8") as fh:
         try:

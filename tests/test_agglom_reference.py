@@ -148,7 +148,7 @@ def duplicate_heavy_points():
 
 
 class TestMinCacheArrays:
-    """After every ``_MinCache.admit`` the row minima and tie counts of
+    """After every ``_MinCache.move`` the row minima and tie counts of
     the m active slots equal a fresh reduction of the criterion block, on
     the runner's mismatch rows and on duplicate-heavy integer points, with
     the cache at its default and in use down to two clusters."""
@@ -158,46 +158,103 @@ class TestMinCacheArrays:
         monkeypatch.setattr(agglom, "CACHE_ABOVE", request.param)
         return request.param
 
-    def check_every_admit(self, method, data, monkeypatch, cache_above):
-        """Cluster ``data`` at seeds 1-4; how many admits ran in all, and
-        how many of them followed a merge whose j was the last slot."""
-        drive, admit = agglom._agglomerate, agglom._MinCache.admit
-        seen = {"admits": 0, "j_last": 0}
+    def check_every_move(self, method, data, monkeypatch, cache_above):
+        """Cluster ``data`` at seeds 1-4; how many moves ran in all, and
+        how many of them were of a merge whose j was the last slot."""
+        drive, move = agglom._agglomerate, agglom._MinCache.move
+        seen = {"moves": 0, "j_last": 0}
 
         def spy_drive(crit, k, merge, state):
             seen["start"] = len(state.ids)
             return drive(crit, k, merge, state)
 
-        def spy_admit(cache, i, j, m, stale):
-            admit(cache, i, j, m, stale)
-            block = cache.crit[:m, :m]
-            assert cache.rowmin[:m].tobytes() == block.min(axis=1).tobytes()
+        def spy_move(cache, i, j, m, row):
+            move(cache, i, j, m, row)
+            last = m - 1
+            block = cache.crit[:last, :last]
+            assert cache.rowmin[:last].tobytes() == block.min(axis=1).tobytes()
             fresh = np.count_nonzero(np.triu(block <= cache.thr, 1), axis=1)
-            assert cache.ties[:m].tolist() == fresh.tolist()
-            seen["admits"] += 1
-            seen["j_last"] += j == m  # slot j was the last one, and left
+            assert cache.ties[:last].tolist() == fresh.tolist()
+            seen["moves"] += 1
+            seen["j_last"] += j == last  # slot j was the last one, and left
 
         monkeypatch.setattr(agglom, "_agglomerate", spy_drive)
-        monkeypatch.setattr(agglom._MinCache, "admit", spy_admit)
+        monkeypatch.setattr(agglom._MinCache, "move", spy_move)
         for seed in (1, 2, 3, 4):
-            before = seen["admits"]
+            before = seen["moves"]
             method(data, 2, seed)
-            assert seen["admits"] - before == max(0, seen["start"] - max(cache_above, 2))
+            assert seen["moves"] - before == max(0, seen["start"] - max(cache_above, 2))
         return seen
 
     @pytest.mark.parametrize("set_id", ["A", "B", "C"])
     def test_mismatch_rows_at_300(self, set_id, monkeypatch, cache_above):
         d = set_matrix(set_id, 300)
         for method, data in ((agglom.mcquitty, d), (agglom.ward, row_vectors(d))):
-            seen = self.check_every_admit(method, data, monkeypatch, cache_above)
-            assert seen["j_last"] > 0 or seen["admits"] == 0
+            seen = self.check_every_move(method, data, monkeypatch, cache_above)
+            assert seen["j_last"] > 0 or seen["moves"] == 0
 
     def test_duplicate_heavy_integer_points(self, monkeypatch, cache_above):
         points = duplicate_heavy_points()
         cells = (points[:, None, :] != points[None, :, :]).sum(axis=2)
         for method, data in ((agglom.mcquitty, DissimilarityMatrix(cells)), (agglom.ward, points)):
-            seen = self.check_every_admit(method, data, monkeypatch, cache_above)
-            assert seen["admits"] > 0 and seen["j_last"] > 0
+            seen = self.check_every_move(method, data, monkeypatch, cache_above)
+            assert seen["moves"] > 0 and seen["j_last"] > 0
+
+
+class TestReplayCounts:
+    """After every merge of ``_replay_duplicates`` its count of the later
+    slots with each slot's label equals a fresh count over the active
+    slots, whose labels are read off the merges made, not off the
+    replay's own slot table."""
+
+    def check_every_merge(self, method, data, monkeypatch):
+        """Cluster ``data`` at seeds 1-4 and k = 2; how many replay merges
+        ran in all, and how many of them had j at the last slot."""
+        replay, untie = agglom._replay_duplicates, agglom._untie
+        seen = {"merges": 0, "j_last": 0}
+        run = {}
+
+        def spy_replay(state, labels, k):
+            run.update(state=state, labels=labels.tolist())
+            rows = replay(state, labels, k)
+            n, selves = labels.size, np.count_nonzero(labels == np.arange(labels.size))
+            assert len(state.merges) == n - max(selves, k)
+            run.clear()
+            return rows
+
+        def spy_untie(counts, j, last, near, passed):
+            untie(counts, j, last, near, passed)
+            if not run:  # the cache's update, checked by TestMinCacheArrays
+                return
+            state, labels = run["state"], run["labels"]
+            for mg in state.merges[len(labels) - state.n :]:
+                labels.append(labels[mg.left])  # a merged cluster keeps its label
+            slots = np.array([labels[c] for c in state.ids])
+            assert slots.size == last
+            fresh = np.count_nonzero(np.triu(slots[:, None] == slots[None, :], 1), axis=1)
+            assert counts[:last].tolist() == fresh.tolist()
+            seen["merges"] += 1
+            seen["j_last"] += j == last
+
+        monkeypatch.setattr(agglom, "_replay_duplicates", spy_replay)
+        monkeypatch.setattr(agglom, "_untie", spy_untie)
+        for seed in (1, 2, 3, 4):
+            method(data, 2, seed)
+        return seen
+
+    @pytest.mark.parametrize("set_id", ["A", "B", "C"])
+    def test_mismatch_rows_at_300(self, set_id, monkeypatch):
+        d = set_matrix(set_id, 300)
+        for method, data in ((agglom.mcquitty, d), (agglom.ward, row_vectors(d))):
+            seen = self.check_every_merge(method, data, monkeypatch)
+            assert seen["merges"] > 0
+
+    def test_duplicate_heavy_integer_points(self, monkeypatch):
+        points = duplicate_heavy_points()
+        cells = (points[:, None, :] != points[None, :, :]).sum(axis=2)
+        for method, data in ((agglom.mcquitty, DissimilarityMatrix(cells)), (agglom.ward, points)):
+            seen = self.check_every_merge(method, data, monkeypatch)
+            assert seen["merges"] > 0 and seen["j_last"] > 0
 
 
 class ExactCriteria:

@@ -128,6 +128,8 @@ def record(**fields):
     return json.dumps(dict(RECORD, **fields))
 
 
+SURROGATE = "'utf-8' codec can't encode character"
+
 # (line of the bad record, its changed fields, the constructor call, message);
 # a file holds the header, one good record, then the record under test
 RULES = {
@@ -171,6 +173,25 @@ RULES = {
     "sense-foreign": (3, {"sense": "poison"},
                       lambda: WordSample("drug", "noun", (Instance(TOKENS, 1, "singular", "poison"),), SENSES),
                       "instance 0: sense 'poison' not in declared inventory"),
+    # a lone surrogate, which a JSON escape can spell but UTF-8 cannot encode
+    "token-text-utf8": (3, {"tokens": [["\ud800", "noun"]]}, lambda: Token("\ud800", "noun"),
+                        f"{SURROGATE} '\\ud800' in position 0: surrogates not allowed"),
+    "morph-utf8": (3, {"morph": "s\udfff"}, lambda: Instance(TOKENS, 1, "s\udfff"),
+                   f"{SURROGATE} '\\udfff' in position 1: surrogates not allowed"),
+    "word-utf8": (1, {"word": "\ud800"}, lambda: WordSample("\ud800", "noun", (), SENSES),
+                  f"{SURROGATE} '\\ud800' in position 0: surrogates not allowed"),
+    "senses-utf8": (1, {"senses": ["a", "b\ud800"]}, lambda: WordSample("w", "noun", (), ("a", "b\ud800")),
+                    f"{SURROGATE} '\\ud800' in position 1: surrogates not allowed"),
+}
+
+# (constructor call, message) for values no corpus file can spell
+CODE_RULES = {
+    "tokens-strings": (lambda: Instance(("a", "b"), 0, "x"), "each token must be a Token"),
+    "tokens-pairs": (lambda: Instance((("drug", "noun"),), 0, "x"), "each token must be a Token"),
+    "tokens-mixed": (lambda: Instance((TOKENS[0], "drug"), 0, "x"), "each token must be a Token"),
+    # JSON reads an escaped surrogate pair as the one character it spells
+    "token-text-surrogate-pair": (lambda: Token("\ud83d\ude00", "noun"),
+                                  "'utf-8' codec can't encode characters in position 0-1: surrogates not allowed"),
 }
 
 
@@ -190,6 +211,20 @@ class TestRules:
         # the constructor names the instance where the file names the line
         assert str(from_file.value) == f"line {line}: {message.removeprefix('instance 0: ')}"
         assert str(from_code.value) == message
+
+    @pytest.mark.parametrize("rule", CODE_RULES)
+    def test_values_only_code_can_hold(self, rule):
+        construct, message = CODE_RULES[rule]
+        with pytest.raises(ValueError) as exc:
+            construct()
+        assert str(exc.value) == message
+
+    def test_a_surrogate_pair_in_a_file_is_its_character(self, tmp_path):
+        bad = record(tokens=[["\ud83d\ude00", "other"], ["drug", "noun"]])
+        assert "\\ud83d\\ude00" in bad  # json.dumps escapes it as a pair
+        sample = load_corpus(write(tmp_path, HEADER, bad))
+        assert sample.instances[0].tokens[0].text == "\U0001f600"
+        assert dumps_corpus(sample).encode("utf-8").count("\U0001f600".encode("utf-8")) == 1
 
     @pytest.mark.parametrize(
         "lines, message",

@@ -116,6 +116,22 @@ class TestConfig:
         assert config.trials == 4
         assert config.output_dir.endswith("out")
 
+    def test_percent_in_a_value_is_literal(self, corpus_dir):
+        """``%`` is not interpolation syntax: a corpus file and an output
+        directory named with it load and run."""
+        base, paths = corpus_dir
+        Path(paths["alpha"]).rename(base / "100%.jsonl")
+        cfg_path = base / "exp.ini"
+        cfg_path.write_text(
+            "[experiment]\ntrials = 1\noutput = out%\n[corpora]\nalpha = 100%.jsonl\n",
+            encoding="utf-8",
+        )
+        config = load_config(cfg_path)
+        assert config.corpora == {"alpha": str((base / "100%.jsonl").resolve())}
+        assert config.output_dir == str((base / "out%").resolve())
+        assert run(config) == 0
+        assert (base / "out%" / "results.csv").read_text().count("\nalpha,A,mcquitty,") == 1
+
     @pytest.mark.parametrize(
         "text, message",
         [
