@@ -24,7 +24,6 @@ from .em import EmResult, NaiveBayesParams, e_step, fit, generate, m_step
 from .evaluate import (
     AggregateReport,
     ConfusionMatrix,
-    TrialReport,
     aggregate,
     best_mapping,
     category_rollup,
@@ -64,7 +63,6 @@ __all__ = [
     "Merge",
     "NaiveBayesParams",
     "Token",
-    "TrialReport",
     "WordSample",
     "aggregate",
     "best_mapping",

@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_opts(p)
     p.add_argument("--k", type=int, help="number of components (default: sense count)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=em.DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=em.DEFAULT_TOL)
     p.set_defaults(func=cmd_em)
 
     p = sub.add_parser("eval", help="best mapping and caption for a confusion matrix file")

@@ -23,6 +23,7 @@ feature implementation (kept in tests/reference_em.py), so the results
 match it bit for bit.
 """
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -32,6 +33,9 @@ from ._value import ArrayValue
 from .features import FeatureMatrix, FeatureSchema
 
 PROB_FLOOR = 1e-12
+# the paper's stopping rule, the default of every EM entry point
+DEFAULT_MAX_ITER = 1000
+DEFAULT_TOL = 1e-6
 
 
 def _stack(tables, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -220,10 +224,15 @@ def initial_params(data: FeatureMatrix, k: int, rng) -> NaiveBayesParams:
 
 
 def check_stopping_rule(max_iter: int, tol: float) -> None:
-    """Reject a stopping rule EM cannot run: fewer than one iteration, or
-    a tolerance that is nan or negative (0 runs exactly ``max_iter``)."""
+    """Reject a stopping rule EM cannot run: a ``max_iter`` that is not an
+    int (a bool is not one) or is below 1, or a ``tol`` that is not a real
+    number (nor a bool) or is nan or negative (0 runs exactly ``max_iter``)."""
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+        raise ValueError(f"max_iter must be an int, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if not tol >= 0:
         raise ValueError(f"tol must be at least 0, got {tol}")
 
@@ -231,8 +240,8 @@ def check_stopping_rule(max_iter: int, tol: float) -> None:
 def fit_from(
     params: NaiveBayesParams,
     data: FeatureMatrix,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
 ) -> EmResult:
     """Run EM from explicit starting parameters (see ``fit`` for the usual entry)."""
     check_stopping_rule(max_iter, tol)
@@ -259,14 +268,14 @@ def fit(
     data: FeatureMatrix,
     k: int,
     seed=None,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
 ) -> EmResult:
     """Fit a k-component mixture by EM from a seeded random start.
 
     Stops when the largest absolute parameter change falls below ``tol``
-    or after ``max_iter`` iterations; ``max_iter`` below 1 and a nan or
-    negative ``tol`` are errors. ``loglik_trace[i]`` is the
+    or after ``max_iter`` iterations; ``check_stopping_rule`` says which
+    values are errors. ``loglik_trace[i]`` is the
     observed-data log-likelihood of the parameters entering iteration i;
     the final entry scores the returned parameters, which also produce
     the returned posteriors and hard assignment. A single call performs

@@ -3,9 +3,12 @@
 Discovered clusters carry no sense labels, so accuracy is measured after
 mapping clusters to senses in the way that maximizes agreement with the
 gold tags (an exact dynamic program over subsets of the larger index set,
-up to 12 senses or clusters). Also provided: the majority-class baseline,
-multi-trial mean/std aggregation, per-category rollups and a pooled
-two-sample t test for comparing algorithms.
+up to 12 senses or clusters). Each helper has one calling form: a
+confusion matrix is tabulated over an explicit cluster count and printed
+with its mapping and an algorithm caption, and trial accuracies are
+aggregated as bare numbers. Also provided: the majority-class baseline,
+per-category rollups and a pooled two-sample t test for comparing
+algorithms.
 """
 
 import math
@@ -47,14 +50,12 @@ class ConfusionMatrix(ArrayValue):
         return int(self.counts.sum())
 
 
-def confusion_from_labels(gold, assignment, senses, n_clusters=None) -> ConfusionMatrix:
+def confusion_from_labels(gold, assignment, senses, n_clusters: int) -> ConfusionMatrix:
     """Tabulate gold sense labels against cluster indices 0..n_clusters-1."""
     senses = tuple(senses)
     clusters = np.asarray(assignment).astype(np.int64)
     if len(gold) != clusters.size:
         raise ValueError("gold labels and assignment differ in length")
-    if n_clusters is None:
-        n_clusters = int(clusters.max()) + 1 if clusters.size else 0
     if clusters.size and (clusters.min() < 0 or clusters.max() >= n_clusters):
         raise ValueError(f"cluster indices must lie in [0, {n_clusters})")
     index = {s: i for i, s in enumerate(senses)}
@@ -128,33 +129,18 @@ def majority_classifier(sample: WordSample) -> tuple[str, float]:
 
 
 @dataclass(frozen=True)
-class TrialReport:
-    """Outcome of one seeded trial of one word/feature-set/algorithm cell."""
-
-    word: str
-    feature_set: str
-    algorithm: str
-    trial: int
-    seed: int
-    accuracy: float
-    mapping: dict[int, int]
-    confusion: ConfusionMatrix
-
-
-@dataclass(frozen=True)
 class AggregateReport:
     mean: float
     std: float
     trials: int
 
 
-def aggregate(trials) -> AggregateReport:
+def aggregate(values) -> AggregateReport:
     """Mean and sample standard deviation of trial accuracies.
 
-    Accepts TrialReports or bare accuracy values. A single trial has no
-    spread; its std is reported as 0.
+    A single trial has no spread; its std is reported as 0.
     """
-    values = [t.accuracy if isinstance(t, TrialReport) else float(t) for t in trials]
+    values = [float(v) for v in values]
     if not values:
         raise ValueError("no trials to aggregate")
     n = len(values)
@@ -312,16 +298,16 @@ def t_test(a, b, alpha: float = 0.01) -> TTestResult:
     return TTestResult(t, p, p < alpha)
 
 
-def format_confusion(cm: ConfusionMatrix, mapping=None, algorithm=None) -> str:
+def format_confusion(cm: ConfusionMatrix, mapping: dict[int, int], algorithm: str) -> str:
     """Render with row/column margins and a ``<algorithm> - <n> correct`` caption.
 
-    When a cluster-to-sense mapping is given, discovered columns are
-    headed by their mapped sense names and the caption reports the
-    mapped agreement count.
+    Mapped discovered columns are headed by their sense names, unmapped
+    ones by their cluster labels; the caption reports the agreement of
+    ``mapping``.
     """
     col_names = []
     for c, label in enumerate(cm.clusters):
-        if mapping is not None and c in mapping:
+        if c in mapping:
             col_names.append(cm.senses[mapping[c]])
         else:
             col_names.append(label)
@@ -341,17 +327,12 @@ def format_confusion(cm: ConfusionMatrix, mapping=None, algorithm=None) -> str:
         out += str(total).rjust(total_width)
         return out
 
+    agreement = sum(int(cm.counts[sense, c]) for c, sense in mapping.items())
     lines = [label_width * " " + "discovered".rjust(sum(widths))]
     lines.append(fmt_row("actual", col_names, ""))
     for s, name in enumerate(row_names):
         lines.append(fmt_row(name, [int(v) for v in cm.counts[s]], int(rows[s])))
     lines.append(fmt_row("", [int(v) for v in cols], cm.n))
-    if algorithm is not None:
-        agreement = None
-        if mapping is not None:
-            agreement = sum(int(cm.counts[sense, c]) for c, sense in mapping.items())
-        else:
-            _, agreement = best_mapping(cm)
-        lines.append("")
-        lines.append(f"{algorithm} - {agreement} correct")
+    lines.append("")
+    lines.append(f"{algorithm} - {agreement} correct")
     return "\n".join(lines) + "\n"

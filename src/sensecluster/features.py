@@ -241,6 +241,11 @@ def _tokens_at(sample, offset) -> list:
     return [tokens[pos] if 0 <= pos < len(tokens) else None for tokens, pos in at]
 
 
+# a token spelled like (null)/(none)/(unusedN) would collide with a
+# collocation alphabet's special slots; such words extract as (none) instead
+_RESERVED = re.compile(r"\((?:none|null|unused\d+)\)$")
+
+
 def top_positional_words(
     sample: WordSample, offset: int, content_only: bool = False, k: int = COLLOC_TOP,
     stopwords=None,
@@ -248,7 +253,10 @@ def top_positional_words(
     """The k most frequent words at a fixed signed offset from the target.
 
     Positions falling outside a sentence contribute nothing. With
-    content_only, stopwords are skipped. Ties break lexicographically.
+    content_only, stopwords are skipped. Words spelled like a collocation
+    alphabet's special values ((none), (null), (unusedN)) are skipped, so
+    the list is the vocabulary of that offset's collocation feature. Ties
+    break lexicographically.
     """
     if offset == 0:
         raise ValueError("offset must be non-zero")
@@ -260,13 +268,9 @@ def top_positional_words(
         for tok in _tokens_at(sample, offset)
         if tok is not None and not (content_only and tok.folded in stop)
     )
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    kept = [(word, count) for word, count in counts.items() if not _RESERVED.fullmatch(word)]
+    ranked = sorted(kept, key=lambda item: (-item[1], item[0]))
     return [word for word, _ in ranked[:k]]
-
-
-# a token spelled like (null)/(none)/(unusedN) would collide with a
-# collocation alphabet's special slots; such words extract as (none) instead
-_RESERVED = re.compile(r"\((?:none|null|unused\d+)\)$")
 
 
 def build_schema(sample: WordSample, set_id: str, stopwords=None) -> FeatureSchema:
@@ -300,9 +304,7 @@ def build_schema(sample: WordSample, set_id: str, stopwords=None) -> FeatureSche
                 cooc_words = top_content_words(sample, 3, stop) + [None] * 3
             features.append(Feature(name, kind, ("0", "1"), word=cooc_words[offset - 1]))
         else:
-            # all n instances' words at the offset, ranked, before reserved ones drop out
-            ranked = top_positional_words(sample, offset, content_only, sample.n, stop)
-            words = [w for w in ranked if not _RESERVED.fullmatch(w)][:COLLOC_TOP]
+            words = top_positional_words(sample, offset, content_only, COLLOC_TOP, stop)
             unused = [f"(unused{i})" for i in range(len(words), COLLOC_TOP)]
             values = (*words, *unused, NONE_VALUE, NULL_VALUE)
             features.append(Feature(name, kind, values, offset=offset, vocabulary=frozenset(words)))

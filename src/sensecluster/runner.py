@@ -3,15 +3,17 @@
 The unit of work is one (word, feature set): its features and, when an
 agglomerative method is configured, its mismatch matrix are built once
 and shared by every configured algorithm. Each algorithm executes a
-fixed number of independently seeded trials, maps each trial's clusters
-to the gold senses, and the runner writes per-trial results, a
-mean-and-std table, and confusion matrices for a designated trial. The
-table's per-category and overall rows are ``evaluate.category_rollup``
-of each column. All outputs are written in one pass over the cells, in
-grid order. Trial seeds are derived from the master seed
-and the (word, set, algorithm, trial) key, so every cell is
-reproducible in isolation and results are identical at any parallelism
-level.
+fixed number of independently seeded trials; a cell keeps each trial's
+mapped accuracy, and the confusion matrix and mapping of ``report_trial``
+only. From these the runner writes per-trial results, a mean-and-std
+table (its per-category and overall rows are ``evaluate.category_rollup``
+of each column) and one confusion matrix per cell, in one pass over the
+cells in grid order. ``trial_seed`` derives each trial's seed, and the
+results' seed column, from the master seed and the (word, set,
+algorithm, trial) key, so every cell is reproducible in isolation and
+results are identical at any parallelism level. ``trials``, ``seed``,
+``report_trial`` and ``em_max_iter`` are ints (not bools) and ``em_tol``
+a real number, also in a config built in code.
 """
 
 import configparser
@@ -24,7 +26,7 @@ from pathlib import Path
 from . import agglom, dissim, em
 from .corpus import CATEGORIES, WordSample, load_corpus
 from .evaluate import (
-    TrialReport,
+    ConfusionMatrix,
     aggregate,
     best_mapping,
     category_rollup,
@@ -46,8 +48,8 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     trials: int = 25
     seed: int = 0
-    em_max_iter: int = 1000
-    em_tol: float = 1e-6
+    em_max_iter: int = em.DEFAULT_MAX_ITER
+    em_tol: float = em.DEFAULT_TOL
     stopwords_path: str | None = None
     output_dir: str = "results"
     report_trial: int = 0
@@ -69,6 +71,10 @@ class ExperimentConfig:
                     raise ValueError(f"unknown {kind} {name!r}")
             if len(set(names)) < len(names):
                 raise ValueError(f"duplicate {kind} in {' '.join(names)}")
+        for name in ("trials", "seed", "report_trial"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.report_trial < self.trials:
@@ -152,10 +158,14 @@ def trial_seed(master: int, word: str, set_id: str, algorithm: str, trial: int) 
 
 @dataclass
 class CellResult:
+    """One cell's per-trial accuracies, and its ``report_trial`` confusion and mapping."""
+
     word: str
     set_id: str
     algorithm: str
-    reports: list = field(default_factory=list)
+    accuracies: list[float] = field(default_factory=list)
+    confusion: ConfusionMatrix | None = None
+    mapping: dict[int, int] | None = None
     assignments: list = field(default_factory=list)
     error: str | None = None
 
@@ -216,9 +226,9 @@ def _run_unit(
                 if have_gold:
                     cm = confusion_from_labels(gold, assignment, sample.sense_inventory, sample.k)
                     mapping, agreement = best_mapping(cm)
-                    cell.reports.append(
-                        TrialReport(word, set_id, alg, t, seed, agreement / sample.n, mapping, cm)
-                    )
+                    cell.accuracies.append(agreement / sample.n)
+                    if t == config.report_trial:
+                        cell.confusion, cell.mapping = cm, mapping
         except Exception as exc:  # reported per cell; other cells keep running
             cell.error = _error_text(exc)
     return cells
@@ -251,7 +261,7 @@ def _summary_table(config, samples, cells, stats) -> str:
             pass
 
     # per word: the best experiment and those not significantly below it
-    accuracies = {cell.key: [r.accuracy for r in cell.reports] for cell in cells}
+    accuracies = {cell.key: cell.accuracies for cell in cells}
     marked = set()
     for word in samples:
         per_word = {(s, a): accuracies[word, s, a] for s, a in columns if (word, s, a) in stats}
@@ -300,8 +310,10 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
     """Execute every cell of the experiment grid; returns the process exit code.
 
     Per-cell failures are reported on stderr and yield exit code 1, but
-    never stop the other cells.
+    never stop the other cells. ``jobs`` below 1 is an error.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -336,17 +348,14 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
             failed.append((*cell.key, cell.error))
             continue
         sample = samples[cell.word]
-        for rep in cell.reports:
-            results_lines.append(
-                f"{rep.word},{rep.feature_set},{rep.algorithm},{rep.trial},"
-                f"{rep.seed},{rep.accuracy!r},{sample.n},{sample.k}"
-            )
-        if cell.reports:
-            agg = stats[cell.key] = aggregate(cell.reports)
+        for t, accuracy in enumerate(cell.accuracies):
+            seed = trial_seed(config.seed, *cell.key, t)
+            results_lines.append(f"{','.join(cell.key)},{t},{seed},{accuracy!r},{sample.n},{sample.k}")
+        if cell.accuracies:
+            agg = stats[cell.key] = aggregate(cell.accuracies)
             agg_lines.append(f"{','.join(cell.key)},{agg.trials},{agg.mean!r},{agg.std!r}")
             confusion_dir.mkdir(exist_ok=True)
-            rep = cell.reports[config.report_trial]
-            text = format_confusion(rep.confusion, rep.mapping, cell.algorithm)
+            text = format_confusion(cell.confusion, cell.mapping, cell.algorithm)
             (confusion_dir / f"{'_'.join(cell.key)}.txt").write_text(text, encoding="utf-8")
         for t, assignment in enumerate(cell.assignments):
             text = " ".join(str(int(c)) for c in assignment) + "\n"

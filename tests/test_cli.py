@@ -228,6 +228,17 @@ class TestRun:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_job_is_an_error(self, tmp_path, capsys, jobs):
+        save_corpus(synth_sample("alpha", "noun", n=14, seed=3), tmp_path / "alpha.jsonl")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\ntrials = 1\n[corpora]\nalpha = alpha.jsonl\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "-j", jobs, "-o", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_corpus_gives_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

@@ -265,6 +265,10 @@ class TestFit:
             (10, float("nan"), "tol"),
             (10, -1e-9, "tol"),
             (-5, float("nan"), "max_iter"),
+            (2.5, 1e-6, "max_iter must be an int"),
+            (True, 1e-6, "max_iter must be an int"),
+            (10, "0", "tol must be a real number"),
+            (10, False, "tol must be a real number"),
         ],
     )
     def test_stopping_rule_is_checked(self, max_iter, tol, message):

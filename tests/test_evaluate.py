@@ -20,7 +20,6 @@ from sensecluster.corpus import WordSample
 from sensecluster.evaluate import (
     AggregateReport,
     ConfusionMatrix,
-    TrialReport,
     aggregate,
     best_mapping,
     category_rollup,
@@ -242,18 +241,13 @@ class TestConfusionFromLabels:
         assert matrix.counts.tolist() == expected.tolist()
         assert matrix.clusters == tuple(str(c) for c in range(n_clusters))
 
-    def test_cluster_count_defaults_to_largest_index(self):
-        matrix = confusion_from_labels(["a", "b", "a"], [0, 2, 2], ("a", "b"))
-        assert matrix.counts.tolist() == [[1, 0, 1], [0, 0, 1]]
-        assert confusion_from_labels([], [], ("a", "b")).counts.shape == (2, 0)
-
     def test_rejects_gold_label_outside_senses(self):
         with pytest.raises(ValueError, match="'z'"):
             confusion_from_labels(["x", "z"], [0, 1], ("x", "y"), 2)
 
     @pytest.mark.parametrize(
         "assignment, n_clusters",
-        [([0, -1, 1], 2), ([0, 2, 1], 2), ([0, -1, 1], None)],
+        [([0, -1, 1], 2), ([0, 2, 1], 2)],
     )
     def test_rejects_cluster_indices_out_of_range(self, assignment, n_clusters):
         with pytest.raises(ValueError, match="cluster indices"):
@@ -308,14 +302,6 @@ class TestAggregate:
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / 24)
         assert abs(report.mean - mean) < 1e-12
         assert abs(report.std - std) < 1e-12
-
-    def test_accepts_trial_reports(self):
-        matrix = cm([[1, 0], [0, 1]])
-        trials = [
-            TrialReport("w", "A", "em", t, 0, 0.5 + 0.1 * t, {0: 0, 1: 1}, matrix)
-            for t in range(3)
-        ]
-        assert aggregate(trials).mean == pytest.approx(0.6)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -488,8 +474,3 @@ class TestFormatConfusion:
         assert lines[2].split() == ["worry", "166", "281", "447"]
         assert lines[3].split() == ["business", "181", "607", "788"]
         assert lines[4].split() == ["347", "888", "1235"]
-
-    def test_caption_without_mapping_uses_best(self):
-        matrix = cm([[384, 63], [132, 656]])
-        text = format_confusion(matrix, None, "EM")
-        assert "EM - 1040 correct" in text

@@ -49,6 +49,8 @@ def brute_force_positional_counts(sample, offset, content_only, stopwords):
         w = inst.tokens[p].text.casefold()
         if content_only and w in stopwords:
             continue
+        if w in ("(none)", "(null)") or (w[:7] == "(unused" and w[-1] == ")" and w[7:-1].isdecimal()):
+            continue
         counts[w] = counts.get(w, 0) + 1
     return counts
 
@@ -295,6 +297,28 @@ class TestExtract:
         assert decoded[3] == NULL_VALUE
         for f in schema.features[1:]:
             assert len(set(f.values)) == 21
+
+    @pytest.mark.parametrize("set_id", ["B", "C"])
+    def test_collocation_vocabulary_is_the_top_positional_words(self, set_id):
+        # three (none)s outrank the 25 distinct words at offset -1, and
+        # (unusedN)s the 25 distinct words at offset +1
+        reserved = [
+            make_instance([("(none)", "noun"), ("term", "noun"), (f"(unused{i})", "noun")], 1)
+            for i in range(3)
+        ]
+        distinct = [
+            make_instance([(f"w{i}", "noun"), ("term", "noun"), (f"v{i}", "noun")], 1)
+            for i in range(25)
+        ]
+        samples = [WordSample("term", "noun", tuple(reserved + distinct), ("s1", "s2"))]
+        samples += [random_sample(np.random.default_rng(300 + seed), n=25) for seed in range(4)]
+        for sample in samples:
+            for feat in build_schema(sample, set_id).features:
+                if feat.kind == "colloc":
+                    content_only = feat.name.startswith("C")
+                    words = top_positional_words(sample, feat.offset, content_only)
+                    assert feat.vocabulary == frozenset(words)
+        assert top_positional_words(samples[0], -1)[:4] == ["w0", "w1", "w10", "w11"]
 
     def test_rows_align_with_instances(self, plant_sample):
         schema = build_schema(plant_sample, "A")

@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 from sensecluster import agglom, dissim, em, runner
-from sensecluster.corpus import save_corpus
-from sensecluster.evaluate import category_rollup, majority_classifier
+from sensecluster.corpus import load_corpus, save_corpus
+from sensecluster.evaluate import (
+    best_mapping,
+    category_rollup,
+    confusion_from_labels,
+    format_confusion,
+    majority_classifier,
+)
+from sensecluster.features import build_schema, extract
 from sensecluster.runner import ExperimentConfig, load_config, run, trial_seed
 
 from conftest import random_sample, synth_sample
@@ -67,6 +74,29 @@ class TestConfig:
             with pytest.raises(ValueError, match=message):
                 make_config(paths, tmp_path / "o", **fields)
         assert make_config(paths, tmp_path / "o", em_tol=0.0).em_tol == 0.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("seed", 1.0),
+            ("seed", False),
+            ("report_trial", 0.5),
+            ("report_trial", True),
+            ("em_max_iter", 2.5),
+            ("em_max_iter", True),
+            ("em_tol", "0"),
+            ("em_tol", True),
+        ],
+    )
+    def test_numeric_fields_built_in_code_have_python_types(self, corpus_dir, tmp_path, field, value):
+        """The INI reader makes these ints (and tol a float); a config built
+        in code gets the same check, before any cell runs."""
+        _, paths = corpus_dir
+        name = field.removeprefix("em_")
+        with pytest.raises(ValueError, match=f"^{name} must be an? (int|real number), got "):
+            make_config(paths, tmp_path / "o", **{field: value})
 
     def test_load_config_file(self, corpus_dir):
         base, paths = corpus_dir
@@ -197,6 +227,9 @@ class TestRun:
         run(make_config({"alpha": paths["alpha"]}, outdir))
         lines = (outdir / "results.csv").read_text().strip().split("\n")
         assert lines[0] == "word,set,algorithm,trial,seed,accuracy,n,k"
+        for row in lines[1:]:
+            word, set_id, alg, t, seed = row.split(",")[:5]
+            assert int(seed) == trial_seed(7, word, set_id, alg, int(t))
         fields = lines[1].split(",")
         assert fields[0] == "alpha"
         assert fields[1] == "A"
@@ -481,9 +514,13 @@ class TestRun:
         _, paths = corpus_dir
         outdir = tmp_path / "out"
         run(make_config({"alpha": paths["alpha"]}, outdir, trials=3, report_trial=2))
-        text = (outdir / "confusion" / "alpha_A_mcquitty.txt").read_text()
-        assert "mcquitty -" in text and "correct" in text
-        assert "discovered" in text
+        text = (outdir / "confusion" / "alpha_A_mcquitty.txt").read_text(encoding="utf-8")
+        sample = load_corpus(paths["alpha"])
+        d = dissim.build(extract(sample, build_schema(sample, "A")))
+        gold = [inst.gold_sense for inst in sample.instances]
+        assignment = agglom.mcquitty(d, sample.k, trial_seed(7, "alpha", "A", "mcquitty", 2)).assignment
+        cm = confusion_from_labels(gold, assignment, sample.sense_inventory, sample.k)
+        assert text == format_confusion(cm, best_mapping(cm)[0], "mcquitty")
 
 
 def test_import_leaves_the_process_pool_unloaded():
