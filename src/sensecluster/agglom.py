@@ -84,6 +84,7 @@ the merge at step t creates cluster id N+t. The final assignment is
 replayed from that record.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,8 @@ class ClusterResult(ArrayValue):
 
 
 def _check_k(k: int, n: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and the number of observations ({n}), got {k}")
 

@@ -12,20 +12,23 @@ those counts by the sample size. Per-observation likelihoods are
 computed in log space, and every stored probability is floored at 1e-12
 and renormalized so no component can collapse to an undefined state.
 
-All joint tables, and all expected value counts, are held in one table
-with a row per (feature, value) pair and a column per class; feature j
-owns rows ``offsets[j]`` to ``offsets[j + 1]`` (``FeatureSchema.offsets``).
-``FeatureMatrix.table_rows`` maps every observed value to its row, so the
-E-step is one gather summed over features and the expected counts are one
-weighted ``np.bincount``. The normalizer follows scipy.special.logsumexp's
-formula, and every sum adds its terms in the same order as a table-per-
-feature implementation (kept in tests/reference_em.py), so the results
-match it bit for bit.
+All joint tables, all expected value counts and a generated sample's
+emission probabilities are held in one table with a row per (feature,
+value) pair and a column per class; feature j owns rows ``offsets[j]``
+to ``offsets[j + 1]`` (``FeatureSchema.offsets``), and ``_blocks`` is the
+one rule that slices them. It is the only layout the module builds, reads
+or returns: every value rejects a table whose shape is not
+``(offsets[-1], k)``, and ``e_step`` rejects parameters laid out by other
+offsets than the data's schema. ``FeatureMatrix.table_rows`` maps every
+observed value to its row, so the E-step is one gather summed over
+features and the expected counts are one weighted ``np.bincount``. The
+normalizer follows scipy.special.logsumexp's formula, and every sum adds
+its terms in the same order as a table-per-feature implementation (kept
+in tests/reference_em.py), so the results match it bit for bit.
 """
 
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -38,31 +41,33 @@ DEFAULT_MAX_ITER = 1000
 DEFAULT_TOL = 1e-6
 
 
-def _stack(tables, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One (sum of cardinalities, k) table from per-feature (k, cardinality)
-    tables, and the row offsets of each feature."""
-    blocks = []
-    for table in tables:
-        table = np.asarray(table, dtype=np.float64)
-        if table.ndim != 2 or table.shape[0] != k:
-            raise ValueError("joint table shape does not match number of classes")
-        blocks.append(table.T)
-    offsets = tuple(accumulate((block.shape[0] for block in blocks), initial=0))
-    return (np.concatenate(blocks) if blocks else np.empty((0, k))), offsets
+def _blocks(offsets: tuple[int, ...]):
+    """Each feature's row slice of a stacked table, in feature order."""
+    return map(slice, offsets[:-1], offsets[1:])
 
 
-def _split(table: np.ndarray, offsets: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Per-feature (k, cardinality) views of a stacked table."""
-    return tuple(table[a:b].T for a, b in zip(offsets[:-1], offsets[1:]))
+def _layout(table: np.ndarray, offsets, k: int) -> tuple[int, ...]:
+    """``offsets`` as a tuple, if ``table`` is laid out by it for k classes."""
+    offsets = tuple(offsets)
+    if not offsets or offsets[0] != 0 or table.shape != (offsets[-1], k):
+        raise ValueError(f"table of shape {table.shape} does not match offsets {offsets}, k={k}")
+    return offsets
+
+
+def _check_k(k) -> None:
+    """Reject a class count that is not an integer (a bool is not one) or is below 1."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class NaiveBayesParams(ArrayValue):
     """Mixture weights and the joint tables P(s, f_j = v).
 
-    ``table[offsets[j] + v, s]`` holds P(s, f_j = v); ``joints[j]`` is the
-    (k, cardinality) view of feature j's rows. Holds its own read-only
-    copies of ``priors`` and ``table``; equal by value and unhashable.
+    ``table[offsets[j] + v, s]`` holds P(s, f_j = v); the table must have
+    ``offsets[-1]`` rows, ``offsets[0]`` must be 0, and ``offsets`` is held
+    as a tuple. Holds its own read-only copies of ``priors`` and ``table``;
+    equal by value and unhashable.
     """
 
     priors: np.ndarray
@@ -70,18 +75,9 @@ class NaiveBayesParams(ArrayValue):
     offsets: tuple[int, ...]
 
     def __post_init__(self):
-        self._hold("priors", np.float64)
-        self._hold("table", np.float64)
-
-    @classmethod
-    def from_joints(cls, priors, joints) -> "NaiveBayesParams":
-        """Parameters from the priors and per-feature (k, cardinality) tables."""
-        priors = np.asarray(priors, dtype=np.float64)
-        return cls(priors, *_stack(joints, priors.size))
-
-    @property
-    def joints(self) -> tuple[np.ndarray, ...]:
-        return _split(self.table, self.offsets)
+        priors = self._hold("priors", np.float64)
+        table = self._hold("table", np.float64)
+        object.__setattr__(self, "offsets", _layout(table, self.offsets, priors.size))
 
     @property
     def k(self) -> int:
@@ -91,10 +87,11 @@ class NaiveBayesParams(ArrayValue):
         """Check the normalization and margin identities."""
         if abs(self.priors.sum() - 1.0) > tol:
             raise ValueError("priors do not sum to 1")
-        for j, table in enumerate(self.joints):
+        for j, rows in enumerate(_blocks(self.offsets)):
+            table = self.table[rows]
             if abs(table.sum() - 1.0) > tol:
                 raise ValueError(f"joint table {j} does not sum to 1")
-            if np.abs(table.sum(axis=1) - self.priors).max() > tol:
+            if np.abs(table.sum(axis=0) - self.priors).max() > tol:
                 raise ValueError(f"joint table {j} margins disagree with priors")
 
     def max_abs_diff(self, other: "NaiveBayesParams") -> float:
@@ -108,9 +105,9 @@ class ExpectedCounts(ArrayValue):
     the posterior matrix they were accumulated from, and the observed-data
     log-likelihood of the parameters that produced them.
 
-    ``table`` is laid out as ``NaiveBayesParams.table``; ``value_counts[j]``
-    is the (k, cardinality) view of feature j's rows. Holds its own
-    read-only copies of the arrays; equal by value and unhashable.
+    ``table`` and ``offsets`` are laid out and checked as in
+    ``NaiveBayesParams``. Holds its own read-only copies of the arrays;
+    equal by value and unhashable.
     """
 
     sense_counts: np.ndarray
@@ -120,18 +117,10 @@ class ExpectedCounts(ArrayValue):
     loglik: float
 
     def __post_init__(self):
-        for name in ("sense_counts", "table", "posteriors"):
-            self._hold(name, np.float64)
-
-    @classmethod
-    def from_value_counts(cls, sense_counts, value_counts, posteriors, loglik) -> "ExpectedCounts":
-        """Counts from the class counts and per-feature (k, cardinality) tables."""
-        sense_counts = np.asarray(sense_counts, dtype=np.float64)
-        return cls(sense_counts, *_stack(value_counts, sense_counts.size), posteriors, loglik)
-
-    @property
-    def value_counts(self) -> tuple[np.ndarray, ...]:
-        return _split(self.table, self.offsets)
+        sense_counts = self._hold("sense_counts", np.float64)
+        table = self._hold("table", np.float64)
+        self._hold("posteriors", np.float64)
+        object.__setattr__(self, "offsets", _layout(table, self.offsets, sense_counts.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +182,11 @@ def _log_posterior(params: NaiveBayesParams, data: FeatureMatrix) -> tuple[np.nd
 
 
 def e_step(params: NaiveBayesParams, data: FeatureMatrix) -> ExpectedCounts:
-    """Expected sufficient statistics of the complete data under ``params``."""
+    """Expected sufficient statistics of the complete data under ``params``,
+    which must be laid out by ``data``'s schema offsets."""
+    offsets = data.schema.offsets
+    if params.offsets != offsets:
+        raise ValueError(f"params offsets {params.offsets} differ from data offsets {offsets}")
     log_joint, norms = _log_posterior(params, data)
     posteriors = np.exp(log_joint - norms[:, None])
     return _accumulate(posteriors, data, float(norms.sum()))
@@ -210,7 +203,7 @@ def m_step(counts: ExpectedCounts, n: int) -> NaiveBayesParams:
     offsets = counts.offsets
     table = np.maximum(counts.table / n, PROB_FLOOR)
     # each feature's block sums on its own, exactly as a per-feature table would
-    sums = [table[a:b].sum() for a, b in zip(offsets[:-1], offsets[1:])]
+    sums = [table[rows].sum() for rows in _blocks(offsets)]
     table /= np.repeat(sums, np.diff(offsets))[:, None]
     return NaiveBayesParams(priors, table, offsets)
 
@@ -247,14 +240,12 @@ def fit_from(
     check_stopping_rule(max_iter, tol)
     trace: list[float] = []
     converged = False
-    iterations = 0
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         counts = e_step(params, data)
         trace.append(counts.loglik)
         new_params = m_step(counts, data.n)
         delta = params.max_abs_diff(new_params)
         params = new_params
-        iterations += 1
         if delta < tol:
             converged = True
             break
@@ -281,8 +272,7 @@ def fit(
     the returned posteriors and hard assignment. A single call performs
     no restarts; run independent seeds for that.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     if data.n < 1:
         raise ValueError("data has no rows")
     rng = np.random.default_rng(seed)
@@ -292,21 +282,22 @@ def fit(
 @dataclass(frozen=True, eq=False)
 class GeneratedSample(ArrayValue):
     """Synthetic draw from the mixture model, with its generating tables.
-    Holds its own read-only copies of the arrays; equal by value and
-    unhashable."""
+
+    ``emissions[offsets[j] + v, s]`` holds P(f_j = v | s), laid out and
+    checked by the matrix's ``schema.offsets`` as ``NaiveBayesParams.table``
+    is by its offsets. Holds its own read-only copies of the arrays; equal
+    by value and unhashable.
+    """
 
     matrix: FeatureMatrix
     labels: np.ndarray
     priors: np.ndarray
-    emissions: tuple[np.ndarray, ...]
+    emissions: np.ndarray
 
     def __post_init__(self):
         self._hold("labels", np.int64)
-        self._hold("priors", np.float64)
-        emissions = tuple(np.array(table, dtype=np.float64) for table in self.emissions)
-        for table in emissions:
-            table.setflags(write=False)
-        object.__setattr__(self, "emissions", emissions)
+        priors = self._hold("priors", np.float64)
+        _layout(self._hold("emissions", np.float64), self.matrix.schema.offsets, priors.size)
 
 
 def generate(
@@ -326,8 +317,7 @@ def generate(
     1 makes emissions deterministic, so classes with distinct preferred
     values are perfectly distinguishable.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     if not 0.0 < separation <= 1.0:
         raise ValueError("separation must be in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -339,21 +329,20 @@ def generate(
             raise ValueError("priors must be a length-k distribution")
 
     labels = rng.choice(k, size=n, p=priors)
-    emissions = []
+    emissions = np.empty((schema.offsets[-1], k))
     columns = np.empty((n, schema.q), dtype=np.int64)
-    for j, feat in enumerate(schema.features):
+    for j, (feat, rows) in enumerate(zip(schema.features, _blocks(schema.offsets))):
         card = feat.cardinality
         preferred = rng.permutation(card)
-        table = np.full((k, card), (1.0 - separation) / card)
+        table = emissions[rows]
+        table[:] = (1.0 - separation) / card
         for s in range(k):
-            table[s, preferred[s % card]] += separation
-        emissions.append(table)
-        for s in range(k):
+            table[preferred[s % card], s] += separation
             mask = labels == s
             count = int(mask.sum())
             if count:
-                columns[mask, j] = rng.choice(card, size=count, p=table[s])
-    return GeneratedSample(FeatureMatrix(schema, columns), labels, priors, tuple(emissions))
+                columns[mask, j] = rng.choice(card, size=count, p=table[:, s])
+    return GeneratedSample(FeatureMatrix(schema, columns), labels, priors, emissions)
 
 
 def format_result(result: EmResult, schema: FeatureSchema) -> str:
@@ -361,18 +350,16 @@ def format_result(result: EmResult, schema: FeatureSchema) -> str:
     k = result.params.k
     lines = [f"components: {k}"]
     lines.append("priors: " + " ".join(f"{p:.6g}" for p in result.params.priors))
-    for feat, table in zip(schema.features, result.params.joints):
+    for feat, rows in zip(schema.features, _blocks(result.params.offsets)):
+        table = result.params.table[rows]
         lines.append(f"feature {feat.name}  P(component, value):")
-        header = "  value".ljust(24) + "".join(f"c{s}".rjust(12) for s in range(k))
-        lines.append(header)
+        lines.append("  value".ljust(24) + "".join(f"c{s}".rjust(12) for s in range(k)))
         for v, name in enumerate(feat.values):
-            row = "  " + name.ljust(22) + "".join(f"{table[s, v]:12.6g}" for s in range(k))
-            lines.append(row)
+            lines.append("  " + name.ljust(22) + "".join(f"{p:12.6g}" for p in table[v]))
     lines.append(
         "log-likelihood: " + " ".join(f"{v:.6f}" for v in result.loglik_trace)
     )
-    lines.append(
-        "converged: {} ({} iterations)".format("yes" if result.converged else "no", result.iterations)
-    )
+    converged = "yes" if result.converged else "no"
+    lines.append(f"converged: {converged} ({result.iterations} iterations)")
     lines.append("assignment: " + " ".join(str(int(s)) for s in result.assignment))
     return "\n".join(lines) + "\n"

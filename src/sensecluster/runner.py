@@ -329,7 +329,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> int:
     if jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             per_unit = list(pool.map(_run_unit, repeat(config), *zip(*units)))
     else:
         per_unit = [_run_unit(config, *unit) for unit in units]

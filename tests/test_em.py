@@ -10,7 +10,9 @@ from sensecluster.agglom import mcquitty, ward
 from sensecluster.dissim import build as build_dissim
 from sensecluster.dissim import row_vectors
 from sensecluster.em import (
+    EmResult,
     ExpectedCounts,
+    GeneratedSample,
     NaiveBayesParams,
     e_step,
     fit,
@@ -21,7 +23,10 @@ from sensecluster.em import (
     m_step,
 )
 from sensecluster.evaluate import best_mapping, confusion_from_labels
-from sensecluster.features import Feature, FeatureMatrix, FeatureSchema
+from sensecluster.features import Feature, FeatureMatrix, FeatureSchema, build_schema, extract
+
+from conftest import synth_sample
+from em_tables import split, stack
 
 
 def make_schema(cards):
@@ -80,22 +85,18 @@ HAND_ROWS = [[0, 1, 0], [1, 2, 1], [0, 0, 0], [1, 1, 1]]
 
 
 def hand_params():
-    return NaiveBayesParams.from_joints(
-        np.array(HAND_PRIORS), tuple(np.array(j) for j in HAND_JOINTS)
-    )
+    return NaiveBayesParams(np.array(HAND_PRIORS), *stack(HAND_JOINTS))
 
 
 class TestEStep:
     def test_single_component_counts_are_observed_counts(self):
         data = make_matrix((3, 2), [[0, 1], [2, 0], [2, 1], [1, 1]])
-        params = NaiveBayesParams.from_joints(
-            np.array([1.0]),
-            (np.array([[0.25, 0.25, 0.5]]), np.array([[0.25, 0.75]])),
-        )
+        params = NaiveBayesParams(np.array([1.0]), *stack(([[0.25, 0.25, 0.5]], [[0.25, 0.75]])))
         counts = e_step(params, data)
         assert counts.sense_counts.tolist() == [4.0]
-        assert counts.value_counts[0].tolist() == [[1.0, 1.0, 2.0]]
-        assert counts.value_counts[1].tolist() == [[1.0, 3.0]]
+        value_counts = split(counts.table, counts.offsets)
+        assert value_counts[0].tolist() == [[1.0, 1.0, 2.0]]
+        assert value_counts[1].tolist() == [[1.0, 3.0]]
         assert (counts.posteriors == 1.0).all()
 
     def test_matches_enumeration_oracle(self):
@@ -103,8 +104,8 @@ class TestEStep:
         counts = e_step(params, make_matrix(HAND_CARDS, HAND_ROWS))
         sense, value = counts_oracle(HAND_PRIORS, HAND_JOINTS, HAND_ROWS, HAND_CARDS)
         assert np.allclose(counts.sense_counts, sense, atol=1e-9)
-        for j in range(3):
-            assert np.allclose(counts.value_counts[j], value[j], atol=1e-9)
+        for j, table in enumerate(split(counts.table, counts.offsets)):
+            assert np.allclose(table, value[j], atol=1e-9)
 
     def test_posterior_log_space_equals_direct_product(self):
         params = hand_params()
@@ -118,7 +119,7 @@ class TestEStep:
         data = make_matrix(HAND_CARDS, HAND_ROWS)
         counts = e_step(params, data)
         for j, card in enumerate(HAND_CARDS):
-            per_value = counts.value_counts[j].sum(axis=0)
+            per_value = split(counts.table, counts.offsets)[j].sum(axis=0)
             observed = np.bincount(data.values[:, j], minlength=card)
             assert np.allclose(per_value, observed, atol=1e-9)
 
@@ -128,35 +129,25 @@ class TestEStep:
 
     def test_degenerate_likelihood_raises(self):
         # value 0 of the only feature carries zero mass in every component
-        params = NaiveBayesParams.from_joints(
-            np.array([0.5, 0.5]),
-            (np.array([[0.0, 0.5], [0.0, 0.5]]),),
-        )
+        params = NaiveBayesParams(np.array([0.5, 0.5]), *stack(([[0.0, 0.5], [0.0, 0.5]],)))
         with pytest.raises(ValueError, match="degenerate likelihood"):
             e_step(params, make_matrix((2,), [[0]]))
 
 
 class TestMStep:
     def test_single_sense_prior_is_one(self):
-        counts = ExpectedCounts.from_value_counts(
-            np.array([4.0]),
-            (np.array([[1.0, 3.0]]),),
-            np.ones((4, 1)),
-            0.0,
-        )
+        counts = ExpectedCounts(np.array([4.0]), *stack(([[1.0, 3.0]],)), np.ones((4, 1)), 0.0)
         params = m_step(counts, 4)
         assert params.priors[0] == pytest.approx(1.0)
 
     def test_priors_are_count_fractions(self):
-        counts = ExpectedCounts.from_value_counts(
-            np.array([30.0, 70.0]),
-            (np.array([[10.0, 20.0], [30.0, 40.0]]),),
-            np.zeros((100, 2)),
-            0.0,
+        counts = ExpectedCounts(
+            np.array([30.0, 70.0]), *stack(([[10.0, 20.0], [30.0, 40.0]],)), np.zeros((100, 2)), 0.0
         )
         params = m_step(counts, 100)
         assert np.allclose(params.priors, [0.3, 0.7], atol=1e-9)
-        assert np.allclose(params.joints[0], [[0.1, 0.2], [0.3, 0.4]], atol=1e-9)
+        joint = split(params.table, params.offsets)[0]
+        assert np.allclose(joint, [[0.1, 0.2], [0.3, 0.4]], atol=1e-9)
 
     def test_composition_reproduces_oracle_update(self):
         data = make_matrix(HAND_CARDS, HAND_ROWS)
@@ -164,13 +155,12 @@ class TestMStep:
         sense, value = counts_oracle(HAND_PRIORS, HAND_JOINTS, HAND_ROWS, HAND_CARDS)
         n = len(HAND_ROWS)
         assert np.allclose(new_params.priors, np.array(sense) / n, atol=1e-9)
-        for j in range(3):
-            assert np.allclose(new_params.joints[j], np.array(value[j]) / n, atol=1e-9)
+        for j, table in enumerate(split(new_params.table, new_params.offsets)):
+            assert np.allclose(table, np.array(value[j]) / n, atol=1e-9)
 
     def test_inconsistent_counts_rejected(self):
-        counts = ExpectedCounts.from_value_counts(
-            np.array([1.0, 1.0]), (np.array([[0.5, 0.5], [0.5, 0.5]]),),
-            np.zeros((4, 2)), 0.0,
+        counts = ExpectedCounts(
+            np.array([1.0, 1.0]), *stack(([[0.5, 0.5], [0.5, 0.5]],)), np.zeros((4, 2)), 0.0
         )
         with pytest.raises(ValueError, match="sample size"):
             m_step(counts, 4)
@@ -207,7 +197,7 @@ class TestFit:
         rows = [[0, v] for v in [0, 1, 2, 0, 1, 1]]
         data = make_matrix((2, 3), rows)
         result = fit(data, 2, seed=0, max_iter=100)
-        table = result.params.joints[0]
+        table = split(result.params.table, result.params.offsets)[0]
         # all mass sits on the constant value for every component
         assert table[:, 0].sum() == pytest.approx(1.0, abs=1e-6)
         assert table[:, 1].max() < 1e-9
@@ -241,10 +231,7 @@ class TestFit:
         schema = make_schema((3, 4, 2))
         sample = generate(2, schema, 80, 0.8, seed=3)
         start = initial_params(sample.matrix, 2, np.random.default_rng(21))
-        swapped = NaiveBayesParams.from_joints(
-            start.priors[::-1].copy(),
-            tuple(j[::-1].copy() for j in start.joints),
-        )
+        swapped = NaiveBayesParams(start.priors[::-1], start.table[:, ::-1], start.offsets)
         a = fit_from(start, sample.matrix, max_iter=200)
         b = fit_from(swapped, sample.matrix, max_iter=200)
         assert np.allclose(a.params.priors, b.params.priors[::-1], atol=1e-6)
@@ -328,7 +315,7 @@ class TestGenerate:
             for s in range(2):
                 rows = sample.matrix.values[sample.labels == s, j]
                 observed = np.bincount(rows, minlength=feat.cardinality)
-                expected = len(rows) * sample.emissions[j][s]
+                expected = len(rows) * split(sample.emissions, schema.offsets)[j][s]
                 stat = ((observed - expected) ** 2 / expected).sum()
                 assert stat < chi2.ppf(0.999, feat.cardinality - 1)
 
@@ -345,7 +332,7 @@ class TestValueEquality:
         data = make_matrix(HAND_CARDS, HAND_ROWS)
         params = hand_params()
         assert params == hand_params()
-        assert params != NaiveBayesParams.from_joints(np.array([0.5, 0.5]), HAND_JOINTS)
+        assert params != NaiveBayesParams(np.array([0.5, 0.5]), params.table, params.offsets)
         counts = e_step(params, data)
         assert counts == e_step(hand_params(), data)
         assert counts != e_step(m_step(counts, data.n), data)
@@ -355,19 +342,17 @@ class TestValueEquality:
 
     def test_holds_its_own_copy(self):
         priors = np.array(HAND_PRIORS)
-        params = NaiveBayesParams.from_joints(priors, HAND_JOINTS)
-        table = params.table.copy()
-        stacked = NaiveBayesParams(priors, table, params.offsets)
+        table, offsets = stack(HAND_JOINTS)
+        params = NaiveBayesParams(priors, table, offsets)
         priors[0] = table[0, 0] = 0.9
-        assert params == stacked == hand_params()
-        for held in (params.priors, params.table, stacked.priors, stacked.table):
+        assert params == hand_params()
+        for held in (params.priors, params.table):
             assert not held.flags.writeable
 
     def test_counts_hold_their_own_copies(self):
         sense_counts, posteriors = np.array([2.0, 2.0]), np.full((4, 2), 0.5)
-        counts = ExpectedCounts.from_value_counts(
-            sense_counts, hand_params().joints, posteriors, 0.0
-        )
+        hand = hand_params()
+        counts = ExpectedCounts(sense_counts, hand.table, hand.offsets, posteriors, 0.0)
         sense_counts[0] = posteriors[0, 0] = 0.9
         assert counts.sense_counts.tolist() == [2.0, 2.0]
         assert counts.posteriors.tolist() == [[0.5, 0.5]] * 4
@@ -381,21 +366,21 @@ class TestValueEquality:
         sample = generate(2, schema, 40, separation=0.6, seed=5)
         result = fit(sample.matrix, 2, seed=1)
         for held in (result.posteriors, result.assignment, sample.labels, sample.priors,
-                     *sample.emissions):
+                     sample.emissions):
             assert not held.flags.writeable
         labels, priors = sample.labels.copy(), np.array([0.3, 0.7])
-        emissions = [table.copy() for table in sample.emissions]
-        copied = type(sample)(sample.matrix, labels, priors, tuple(emissions))
+        emissions = sample.emissions.copy()
+        copied = type(sample)(sample.matrix, labels, priors, emissions)
         labels[0] = 1 - labels[0]
-        priors[0] = emissions[0][0, 0] = 0.0
+        priors[0] = emissions[0, 0] = 0.0
         assert copied.labels.tolist() == sample.labels.tolist()
         assert copied.priors.tolist() == [0.3, 0.7]
-        assert copied.emissions[0][0, 0] == sample.emissions[0][0, 0] != 0.0
+        assert copied.emissions[0, 0] == sample.emissions[0, 0] != 0.0
 
     def test_stacked_offsets_are_an_int_tuple(self):
-        params = hand_params()
-        counts = ExpectedCounts.from_value_counts(
-            np.array([2.0, 2.0]), params.joints, np.full((4, 2), 0.5), 0.0
+        params = NaiveBayesParams(np.array(HAND_PRIORS), stack(HAND_JOINTS)[0], [0, 2, 5, 7])
+        counts = ExpectedCounts(
+            np.array([2.0, 2.0]), params.table, [0, 2, 5, 7], np.full((4, 2), 0.5), 0.0
         )
         for value in (params, counts, e_step(params, make_matrix(HAND_CARDS, HAND_ROWS))):
             assert value.offsets == (0, 2, 5, 7)
@@ -427,3 +412,119 @@ class TestExport:
         assert "feature f0" in text
         assert "log-likelihood:" in text
         assert "assignment:" in text
+
+    def test_hand_built_result_text(self):
+        schema = FeatureSchema(
+            (Feature("left", "pos", ("noun", "verb")), Feature("right", "pos", ("a", "b", "c")))
+        )
+        params = NaiveBayesParams(np.array(HAND_PRIORS), *stack(HAND_JOINTS[:2]))
+        posteriors = [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
+        result = EmResult(params, posteriors, [0, 1, 0], (-4.25, -3.5, -3.4999999), 2, True)
+        assert format_result(result, schema) == """\
+components: 2
+priors: 0.4 0.6
+feature left  P(component, value):
+  value                           c0          c1
+  noun                          0.28        0.12
+  verb                          0.12        0.48
+feature right  P(component, value):
+  value                           c0          c1
+  a                              0.2        0.06
+  b                              0.1        0.36
+  c                              0.1        0.18
+log-likelihood: -4.250000 -3.500000 -3.500000
+converged: yes (2 iterations)
+assignment: 0 1 0
+"""
+
+
+# two classes over features of 2 and 3 values: offsets (0, 2, 5)
+SAMPLE = generate(2, make_schema((2, 3)), 6, 0.8, seed=0)
+
+
+# each row builds a value whose table disagrees with its offsets or class count
+MALFORMED = {
+    # offsets name five rows, the table has three: sliced by the offsets,
+    # its one block sums to 1 with margins equal to the priors
+    "params-short-table": lambda: NaiveBayesParams([0.5, 0.5], np.full((3, 2), 1 / 6), (0, 5)),
+    "params-long-table": lambda: NaiveBayesParams([0.5, 0.5], np.full((6, 2), 0.1), (0, 2, 5)),
+    "params-offsets-not-from-0": lambda: NaiveBayesParams([0.5, 0.5], np.full((5, 2), 0.1), (1, 5)),
+    "params-no-offsets": lambda: NaiveBayesParams([0.5, 0.5], np.full((5, 2), 0.1), ()),
+    "params-class-count": lambda: NaiveBayesParams([0.5, 0.5], np.full((5, 3), 0.1), (0, 5)),
+    "params-per-feature-table": lambda: NaiveBayesParams([0.5, 0.5], np.full((2, 5), 0.1), (0, 5)),
+    "params-flat-table": lambda: NaiveBayesParams([0.5, 0.5], np.full(5, 0.2), (0, 5)),
+    "counts-short-table": lambda: ExpectedCounts(
+        [2.0, 2.0], np.ones((4, 2)), (0, 2, 5), np.full((4, 2), 0.5), 0.0
+    ),
+    "counts-offsets-not-from-0": lambda: ExpectedCounts(
+        [2.0, 2.0], np.ones((5, 2)), (2, 5), np.full((4, 2), 0.5), 0.0
+    ),
+    "counts-class-count": lambda: ExpectedCounts(
+        [4.0], np.ones((5, 2)), (0, 2, 5), np.ones((4, 1)), 0.0
+    ),
+    "sample-short-emissions": lambda: GeneratedSample(
+        SAMPLE.matrix, SAMPLE.labels, [0.5, 0.5], np.full((4, 2), 0.25)
+    ),
+    "sample-class-count": lambda: GeneratedSample(
+        SAMPLE.matrix, SAMPLE.labels, [1.0], np.full((5, 2), 0.25)
+    ),
+    "sample-per-feature-table": lambda: GeneratedSample(
+        SAMPLE.matrix, SAMPLE.labels, [0.5, 0.5], np.full((2, 5), 0.25)
+    ),
+}
+
+
+class TestLayout:
+    @pytest.mark.parametrize("build", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_table_must_match_offsets_and_classes(self, build):
+        with pytest.raises(ValueError, match="does not match offsets"):
+            build()
+
+    def test_well_formed_values_are_accepted(self):
+        assert SAMPLE.emissions.shape == (5, 2)
+        params = NaiveBayesParams([0.5, 0.5], np.full((5, 2), 0.1), [0, 2, 5])
+        assert params.offsets == (0, 2, 5)
+        copy = GeneratedSample(SAMPLE.matrix, SAMPLE.labels, SAMPLE.priors, SAMPLE.emissions)
+        assert copy == SAMPLE
+
+    @pytest.mark.parametrize("fit_on, run_on", [((2, 3), (3, 2)), ((3, 2), (2, 3))])
+    def test_e_step_rejects_params_of_another_layout(self, fit_on, run_on):
+        # same row total, so only the offsets tell the layouts apart
+        params = initial_params(generate(2, make_schema(fit_on), 20, 0.8, seed=1).matrix, 2,
+                                np.random.default_rng(0))
+        data = generate(2, make_schema(run_on), 20, 0.8, seed=2).matrix
+        with pytest.raises(ValueError, match="offsets"):
+            e_step(params, data)
+        with pytest.raises(ValueError, match="offsets"):
+            fit_from(params, data)
+
+    def test_fit_from_rejects_params_of_another_feature_set(self):
+        sample = synth_sample("drug", n=40, seed=1)
+        set_a = extract(sample, build_schema(sample, "A"))
+        set_b = extract(sample, build_schema(sample, "B"))
+        params = fit(set_a, 2, seed=0).params
+        with pytest.raises(ValueError, match="offsets"):
+            fit_from(params, set_b)
+
+
+class TestClassCount:
+    ENTRIES = {
+        "mcquitty": lambda k: mcquitty(build_dissim(SAMPLE.matrix), k, seed=0),
+        "ward": lambda k: ward(row_vectors(build_dissim(SAMPLE.matrix)), k, seed=0),
+        "fit": lambda k: fit(SAMPLE.matrix, k, seed=0, max_iter=5),
+        "generate": lambda k: generate(k, make_schema((2, 3)), 6, 0.8, seed=0),
+    }
+
+    @pytest.mark.parametrize(
+        "k",
+        [True, False, 2.5, 2.0, np.float64(2.0), "2", None],
+        ids=["True", "False", "2.5", "2.0", "float64-2.0", "str-2", "None"],
+    )
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_k_must_be_an_integer(self, entry, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            self.ENTRIES[entry](k)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_numpy_integers_are_integers(self, entry):
+        assert self.ENTRIES[entry](np.int64(2)) == self.ENTRIES[entry](2)

@@ -16,6 +16,7 @@ import pytest
 from scipy.special import logsumexp
 
 import reference_em as reference
+from em_tables import split, stack
 from sensecluster import em
 from sensecluster.evaluate import MAPPING_LIMIT
 from sensecluster.features import Feature, FeatureMatrix, FeatureSchema
@@ -38,8 +39,9 @@ def random_matrix(rng, q, n):
 def assert_bit_identical(got, expected):
     assert got.posteriors.tobytes() == expected.posteriors.tobytes()
     assert got.params.priors.tobytes() == expected.params.priors.tobytes()
-    assert len(got.params.joints) == len(expected.params.joints)
-    for a, b in zip(got.params.joints, expected.params.joints):
+    joints = split(got.params.table, got.params.offsets)
+    assert len(joints) == len(expected.params.joints)
+    for a, b in zip(joints, expected.params.joints):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
     assert got.loglik_trace == expected.loglik_trace
@@ -82,31 +84,31 @@ def test_steps_match_reference_from_hand_built_params():
         priors[:, None] * rng.dirichlet(np.ones(card), size=k)
         for card in data.schema.cardinalities
     ]
-    got = em.e_step(em.NaiveBayesParams.from_joints(priors, tuple(joints)), data)
+    got = em.e_step(em.NaiveBayesParams(priors, *stack(joints)), data)
     expected = reference.e_step(reference.NaiveBayesParams(priors, tuple(joints)), data)
     assert got.posteriors.tobytes() == expected.posteriors.tobytes()
     assert got.loglik == expected.loglik
-    for a, b in zip(got.value_counts, expected.value_counts):
+    for a, b in zip(split(got.table, got.offsets), expected.value_counts):
         assert a.tobytes() == b.tobytes()
     new = em.m_step(got, data.n)
     old = reference.m_step(expected, data.n)
     assert new.priors.tobytes() == old.priors.tobytes()
-    for a, b in zip(new.joints, old.joints):
+    for a, b in zip(split(new.table, new.offsets), old.joints):
         assert a.tobytes() == b.tobytes()
 
 
-def test_joints_and_value_counts_are_views_of_one_table():
+def test_params_and_counts_are_laid_out_by_the_schema_offsets():
     rng = np.random.default_rng(6)
     data = random_matrix(rng, 4, 30)
     params = em.initial_params(data, 2, rng)
     counts = em.e_step(params, data)
     offsets = data.schema.offsets
+    assert params.offsets == counts.offsets == offsets
     assert params.table.shape == counts.table.shape == (offsets[-1], 2)
-    for j, (joint, value) in enumerate(zip(params.joints, counts.value_counts)):
-        assert np.shares_memory(joint, params.table)
-        assert np.shares_memory(value, counts.table)
-        assert joint.shape == value.shape == (2, data.schema.cardinalities[j])
-        assert (joint == params.table[offsets[j]:offsets[j + 1]].T).all()
+    joints, values = split(params.table, offsets), split(counts.table, offsets)
+    for j, card in enumerate(data.schema.cardinalities):
+        assert joints[j].shape == values[j].shape == (2, card)
+        assert np.allclose(values[j].sum(axis=0), np.bincount(data.values[:, j], minlength=card))
 
 
 def test_bincount_index_is_built_once_per_k():

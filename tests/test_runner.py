@@ -309,6 +309,22 @@ class TestRun:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_workers_are_at_most_the_units(self, corpus_dir, tmp_path, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawned = []
+        spawn = ProcessPoolExecutor._spawn_process
+
+        def counting_spawn(pool):
+            spawned.append(pool)
+            return spawn(pool)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting_spawn)
+        _, paths = corpus_dir
+        # two words in one feature set: two units
+        assert run(make_config(paths, tmp_path / "out"), jobs=4) == 0
+        assert len(spawned) == 2
+
     def test_removing_a_word_leaves_others_unchanged(self, corpus_dir, tmp_path):
         _, paths = corpus_dir
         out_both, out_one = tmp_path / "both", tmp_path / "one"

@@ -45,7 +45,7 @@ HELD = [
     (ClusterResult([0, 1, 0], (Merge(0, 2, 1.0),), 2, 1), ("assignment",)),
     (FeatureMatrix(SCHEMA, [[0, 1], [2, 0], [1, 1]]), ("values",)),
     (DissimilarityMatrix([[0, 1], [1, 0]]), ("cells",)),
-    (NaiveBayesParams.from_joints([0.5, 0.5], ([[0.5, 0], [0, 0.5]],)), ("priors", "table")),
+    (NaiveBayesParams([0.5, 0.5], [[0.5, 0], [0, 0.5]], (0, 2)), ("priors", "table")),
 ]
 
 
