@@ -4,7 +4,7 @@
 Usage, from the root of a checkout:
 
     python3 bench/stages.py [--sizes 600 1000 2000] [--repeat 5]
-                            [--output BENCH_stages.json] [--check FILE]
+                            [--output FILE] [--check FILE]
 
 For each sample size N, a fresh interpreter builds
 ``tests/conftest.py::synth_sample("drug", "noun", n=N, seed=1)``, extracts
@@ -13,6 +13,11 @@ and ``agglom.ward`` (on ``dissim.row_vectors``) and ``em.fit`` (on the
 feature matrix, with its default stopping rule) at k=2 and seed 1,
 recording the median of ``--repeat`` runs of each, the number of
 distinct rows of the mismatch matrix, and the interpreter's peak RSS.
+EM is also timed at a fixed count, as the benchmark's grid workload runs
+it: ``em_iterations`` (``EM_ITERATIONS``, with ``tol=0``) and
+``em_iter_us``, the median wall time of that fit divided by its
+iterations (its random start and final E-step included, as in the
+benchmark's ``em.iter_us``).
 Every merge trace and assignment is recorded as a SHA-256 digest
 (``tests/conftest.py::digest``, of ``merge_trace`` followed by the
 space-separated assignment), with the tie draws, and EM's assignment as the
@@ -25,6 +30,8 @@ The demo grid is timed as well: ``sensecluster run`` on
 interpreter (its start-up included) writing to a temporary directory,
 recorded as the median under ``demo``.
 
+The report is written to ``--output``, by default ``BENCH_stages.json``;
+with ``--check FILE`` it is written only if ``--output`` is given.
 ``--check FILE`` compares the digests and tie draws of this run with
 those recorded in FILE for the same sizes (FILE is read before the run,
 so it may also be the output), and every demo output with
@@ -51,6 +58,8 @@ DEMO_CONFIG = ROOT / "demo" / "experiment.ini"
 DEMO_DIGESTS = ROOT / "demo" / "expected.sha256"
 SETS = ("A", "B", "C")
 WORD, CATEGORY, SAMPLE_SEED, K, SEED = "drug", "noun", 1, 2, 1
+# iterations of the fixed-count EM fit, as in the benchmark's workloads
+EM_ITERATIONS = 60
 
 
 def median_time(repeat: int, call):
@@ -88,6 +97,11 @@ def measure_size(n: int, repeat: int) -> dict:
             row[f"{name}_sha256"] = digest(result, agglom.merge_trace(result))
         row["em_s"], result = median_time(repeat, lambda: em.fit(matrix, K, SEED))
         row["em_sha256"] = digest(result)
+        fixed_s, result = median_time(
+            repeat, lambda: em.fit(matrix, K, SEED, max_iter=EM_ITERATIONS, tol=0)
+        )
+        row["em_iterations"] = result.iterations
+        row["em_iter_us"] = fixed_s / result.iterations * 1e6
         sets[set_id] = row
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"peak_rss_mb": peak_rss_mb, "sets": sets}
@@ -168,7 +182,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[600, 1000, 2000])
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path)
     parser.add_argument("--check", type=Path)
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -192,8 +206,10 @@ def main(argv=None) -> int:
         "sizes": sizes,
         "demo": {"wall_s": demo_s},
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    output = DEFAULT_OUTPUT if args.output is None and recorded is None else args.output
+    if output is not None:
+        output.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {output}")
     if recorded is not None:
         problems = mismatches(report, recorded) + demo_problems
         for problem in problems:

@@ -186,8 +186,9 @@ class FeatureMatrix(ArrayValue):
     @cached_property
     def table_rows(self) -> np.ndarray:
         """Each value shifted by its feature's ``schema.offsets`` entry: its
-        row in the one-row-per-(feature, value) table (read-only, n x q)."""
-        rows = self.values + np.array(self.schema.offsets[:-1], dtype=np.int64)
+        row in the one-row-per-(feature, value) table (read-only, n x q, in
+        Fortran order, so each feature's column is contiguous)."""
+        rows = np.asfortranarray(self.values + np.array(self.schema.offsets[:-1], dtype=np.int64))
         rows.setflags(write=False)
         return rows
 

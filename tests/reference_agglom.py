@@ -3,15 +3,19 @@
 Every merge rescans the whole criterion matrix for its minimum and tied
 pairs, and Ward recomputes the merged cluster's row from exact means.
 ``sensecluster.agglom`` must reproduce these merge ids, criterion values,
-assignments and tie draws exactly. The only change from the original is
+assignments and tie draws exactly. The changes from the original are
 that each run counts the steps that drew among tied pairs and reports
-them as ``ClusterResult.ties_drawn``.
+them as ``ClusterResult.ties_drawn``, and that the tie tolerance is
+stated here, from the README's rule, not imported from the code checked.
 """
 
 import numpy as np
 
-from sensecluster.agglom import TIE_TOL, ClusterResult, Merge, _check_k
+from sensecluster.agglom import ClusterResult, Merge, _check_k
 from sensecluster.dissim import DissimilarityMatrix
+
+# README: "Clustering ties (criterion values within 1e-9) are broken uniformly at random"
+TIE_TOL = 1e-9
 
 
 def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:

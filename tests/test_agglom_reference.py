@@ -351,6 +351,26 @@ def test_ward_tie_split_by_rounding_is_a_true_tie(seed, monkeypatch):
     assert len(tied) == 4
 
 
+# Three singleton pairs far apart, whose Ward criteria d^2 / 2 are 0.5,
+# 0.5 + 5e-10 and 0.5 + 2e-9: the README's rule ("criterion values within
+# 1e-9") ties the first two and not the third.
+TIE_BOUNDARY_POINTS = np.array(
+    [[0.0], [1.0], [10.0], [10.0 + math.sqrt(1 + 1e-9)], [20.0], [20.0 + math.sqrt(1 + 4e-9)]]
+)
+
+
+@pytest.mark.parametrize("cache_above", [agglom.CACHE_ABOVE, 2], ids=["scan", "cache"])
+def test_ties_within_1e9_of_the_minimum_and_not_beyond(cache_above, monkeypatch):
+    monkeypatch.setattr(agglom, "CACHE_ABOVE", cache_above)
+    first = set()
+    for seed in range(20):
+        got = agglom.ward(TIE_BOUNDARY_POINTS, 3, seed)
+        assert_identical(got, reference.ward(TIE_BOUNDARY_POINTS, 3, seed))
+        assert got.ties_drawn == 1
+        first.add((got.merges[0].left, got.merges[0].right))
+    assert first == {(0, 1), (2, 3)}
+
+
 class TestWardPointsBound:
     """Ward takes points while n^2 dim (2 max|x|)^2 is below the largest
     float64, so that no criterion it computes can overflow."""

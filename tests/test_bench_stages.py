@@ -48,6 +48,8 @@ def test_writes_and_checks_the_stage_file(stages, tmp_path, demo_stub):
         assert 1 <= row["distinct_rows"] <= 24
         for stage in ("dissim", "mcquitty", "ward", "em"):
             assert row[f"{stage}_s"] >= 0
+        assert row["em_iterations"] == stages.EM_ITERATIONS
+        assert row["em_iter_us"] > 0
         for method in ("mcquitty", "ward", "em"):
             assert len(row[f"{method}_sha256"]) == 64
         for method in ("mcquitty", "ward"):
@@ -93,6 +95,19 @@ def test_check_reads_the_recorded_file_before_writing_over_it(stages, tmp_path, 
     args = ["--sizes", "24", "--repeat", "1", "--output", str(path), "--check", str(path)]
     assert stages.main(args) == 1
     assert json.loads(path.read_text())["sizes"]["24"]["sets"]["A"]["mcquitty_sha256"] != "0" * 64
+
+
+def test_a_check_run_leaves_the_checked_file_as_it_was(stages, tmp_path, demo_stub, monkeypatch):
+    # as ``--check BENCH_stages.json`` without ``--output``, which used to
+    # rewrite the checked file with only the sizes it ran
+    path = tmp_path / "BENCH_stages.json"
+    assert stages.main(["--sizes", "24", "--repeat", "1", "--output", str(path)]) == 0
+    recorded = path.read_bytes()
+    monkeypatch.setattr(stages, "DEFAULT_OUTPUT", path)
+    assert stages.main(["--sizes", "24", "--repeat", "1", "--check", str(path)]) == 0
+    assert path.read_bytes() == recorded
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_stages.json"]
+
 
 def test_demo_mismatches_lists_changed_missing_and_extra_files(stages, tmp_path, monkeypatch):
     out = tmp_path / "out"

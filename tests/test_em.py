@@ -275,6 +275,13 @@ class TestFit:
         assert not result.converged
         assert len(result.loglik_trace) == 8
 
+    def test_no_features_leave_every_posterior_at_the_priors(self):
+        # an empty table: no feature block to renormalize
+        result = fit(make_matrix((), np.zeros((5, 0), dtype=np.int64)), 2, seed=1)
+        assert result.converged and result.iterations == 1
+        assert result.params.table.shape == (0, 2)
+        assert np.allclose(result.posteriors, result.params.priors)
+
 
 class TestGenerate:
     def test_fixed_seed_identical_output(self):
@@ -436,6 +443,19 @@ log-likelihood: -4.250000 -3.500000 -3.500000
 converged: yes (2 iterations)
 assignment: 0 1 0
 """
+
+    def test_a_schema_of_other_offsets_is_rejected(self):
+        # a set-A fit printed with the set-B schema ran past the end of the table
+        sample = synth_sample("drug", n=40, seed=1)
+        result = fit(extract(sample, build_schema(sample, "A")), 2, seed=1)
+        with pytest.raises(ValueError, match="schema offsets"):
+            format_result(result, build_schema(sample, "B"))
+
+    def test_a_schema_of_equal_size_but_other_blocks_is_rejected(self):
+        # offsets (0, 2, 5) printed as (0, 3, 5) would put values under the wrong feature
+        result = fit(generate(2, make_schema((2, 3)), 30, 0.8, seed=1).matrix, 2, seed=1)
+        with pytest.raises(ValueError, match=r"schema offsets \(0, 3, 5\) differ"):
+            format_result(result, make_schema((3, 2)))
 
 
 # two classes over features of 2 and 3 values: offsets (0, 2, 5)

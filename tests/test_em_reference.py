@@ -65,7 +65,16 @@ def test_fit_matches_reference(k, tol):
         assert_bit_identical(got, expected)
 
 
-@pytest.mark.parametrize("n,k,q", [(1, 1, 12), (1, 3, 9), (2, 1, 40), (7, 1, 60)])
+# Summation-order edges of the E-step's layout. Each row's exponentials
+# are summed pairwise from k = 8, so a class-major sum parts from scipy's
+# at n = 2 with k >= 8 (at n = 1 both are one contiguous run). One
+# reduction over the q >= 8 feature slabs parts from the slab adds only
+# where n * k = 1, as in (1, 1, 12).
+TINY_CASES = [(1, 1, 12), (1, 3, 9), (2, 1, 40), (7, 1, 60)]
+TINY_CASES += [(n, k, q) for n in (1, 2) for k, q in ((8, 8), (9, 12), (12, 30))]
+
+
+@pytest.mark.parametrize("n,k,q", TINY_CASES)
 def test_fit_matches_reference_on_tiny_samples(n, k, q):
     rng = np.random.default_rng(n * 100 + k * 10 + q)
     for seed in range(5):
