@@ -10,9 +10,11 @@ For each sample size N, a fresh interpreter builds
 ``tests/conftest.py::synth_sample("drug", "noun", n=N, seed=1)``, extracts
 feature sets A, B and C, and times ``dissim.build``, ``agglom.mcquitty``
 and ``agglom.ward`` (on ``dissim.row_vectors``) and ``em.fit`` (on the
-feature matrix, with its default stopping rule) at k=2 and seed 1,
-recording the median of ``--repeat`` runs of each, the number of
-distinct rows of the mismatch matrix, and the interpreter's peak RSS.
+feature matrix, with its default stopping rule) at k=2 and seed 1.
+Each stage is called once untimed, then ``--repeat`` times timed; its
+median is recorded under the stage's key and its first and third
+quartiles under the same key with ``_q`` appended, beside the number of
+distinct rows of the mismatch matrix and the interpreter's peak RSS.
 EM is also timed at a fixed count, as the benchmark's grid workload runs
 it: ``em_iterations`` (``EM_ITERATIONS``, with ``tol=0``) and
 ``em_iter_us``, the median wall time of that fit divided by its
@@ -62,14 +64,26 @@ WORD, CATEGORY, SAMPLE_SEED, K, SEED = "drug", "noun", 1, 2, 1
 EM_ITERATIONS = 60
 
 
-def median_time(repeat: int, call):
-    """Median wall time of ``repeat`` calls, and the last call's result."""
+def timed(repeat: int, call):
+    """Quartiles (first, median, third) of the wall times of ``repeat``
+    calls made after one untimed warm-up call, and the last call's result.
+    The quartiles are inclusive, so they never reach past the times seen."""
+    call()
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), result
+    if repeat == 1:
+        return (times[0],) * 3, result
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return (q1, median, q3), result
+
+
+def record(row: dict, key: str, quartiles) -> None:
+    """Put a stage's median under ``key`` and its quartiles beside it."""
+    row[key] = quartiles[1]
+    row[f"{key}_q"] = [quartiles[0], quartiles[2]]
 
 
 def measure_size(n: int, repeat: int) -> dict:
@@ -86,22 +100,25 @@ def measure_size(n: int, repeat: int) -> dict:
     sets = {}
     for set_id in SETS:
         matrix = extract(sample, build_schema(sample, set_id))
-        dissim_s, d = median_time(repeat, lambda: build(matrix))
-        row = {"distinct_rows": len(np.unique(d.cells, axis=0)), "dissim_s": dissim_s}
+        quartiles, d = timed(repeat, lambda: build(matrix))
+        row = {"distinct_rows": len(np.unique(d.cells, axis=0))}
+        record(row, "dissim_s", quartiles)
         for name, method, data in (
             ("mcquitty", agglom.mcquitty, d),
             ("ward", agglom.ward, row_vectors(d)),
         ):
-            row[f"{name}_s"], result = median_time(repeat, lambda: method(data, K, SEED))
+            quartiles, result = timed(repeat, lambda: method(data, K, SEED))
+            record(row, f"{name}_s", quartiles)
             row[f"{name}_ties_drawn"] = result.ties_drawn
             row[f"{name}_sha256"] = digest(result, agglom.merge_trace(result))
-        row["em_s"], result = median_time(repeat, lambda: em.fit(matrix, K, SEED))
+        quartiles, result = timed(repeat, lambda: em.fit(matrix, K, SEED))
+        record(row, "em_s", quartiles)
         row["em_sha256"] = digest(result)
-        fixed_s, result = median_time(
+        quartiles, result = timed(
             repeat, lambda: em.fit(matrix, K, SEED, max_iter=EM_ITERATIONS, tol=0)
         )
         row["em_iterations"] = result.iterations
-        row["em_iter_us"] = fixed_s / result.iterations * 1e6
+        record(row, "em_iter_us", [q / result.iterations * 1e6 for q in quartiles])
         sets[set_id] = row
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"peak_rss_mb": peak_rss_mb, "sets": sets}

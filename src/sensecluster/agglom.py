@@ -42,10 +42,18 @@ minima and the r-th tied pair from per-row counts of tied entries right
 of the diagonal. ``_MinCache.move`` keeps both in O(m) per merge, the
 counts by ``_untie``, the one rule for a slot move, which the duplicate
 replay shares; a new minimum recounts the rows near it. At or below
-CACHE_ABOVE a full scan is cheaper than that bookkeeping: one minimum
-and the flat indices of the entries within the tolerance of it in a
-precomputed strict upper triangle. Both paths pick the same pair and
-consume the generator the same way.
+CACHE_ABOVE a full scan is cheaper than that bookkeeping: one minimum,
+the mask of entries within the tolerance of it and the flat indices of
+the mask's hits. The matrix is symmetric, so two hits are one pair, its
+upper entry first; otherwise the draw is among the hits right of the
+diagonal. Both paths pick the same pair and consume the generator the
+same way.
+
+The tolerance is absolute, so it covers Ward's rounding only for
+criteria below about 1e6: one ulp exceeds TIE_TOL from 2^23 (about
+8.4e6), and a rounding error of 8 ulps in Ward's recurrence reaches it
+near 1e6. Ward's largest criterion on feature set A of the synthetic
+sample the stage timings use (N = 2000) is 4.3e5.
 
 Both methods start one way: row labels, a replay of the merges among
 equal rows, one start matrix over the rows left, then the driver.
@@ -150,20 +158,18 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must be between 1 and the number of observations ({n}), got {k}")
 
 
-# Strict upper triangle of the largest block the full scan sees.
-_UPPER = np.triu(np.ones((CACHE_ABOVE, CACHE_ABOVE), dtype=bool), 1)
-
-
 def _pick_min_pair(crit: np.ndarray, rng) -> tuple[int, int, bool]:
     """Index pair (i < j) of the minimum criterion, and whether ties were drawn."""
     m = crit.shape[0]
-    mask = crit <= crit.min() + TIE_TOL
-    drew = bool(np.count_nonzero(mask) > 2)  # symmetric, so a unique pair hits twice
-    mask &= _UPPER[:m, :m]
-    # flat indices of the tied pairs right of the diagonal, in row-major order
-    cand = np.flatnonzero(mask)
-    i, j = divmod(int(cand[rng.integers(cand.size)] if drew else cand[0]), m)
-    return i, j, drew
+    # flat indices of the entries within the tolerance, in row-major order
+    hits = (crit <= crit.min() + TIE_TOL).ravel().nonzero()[0]
+    if hits.size == 2:  # symmetric, so a unique pair hits twice, its upper entry first
+        return *divmod(int(hits[0]), m), False
+    # the tied pairs right of the diagonal: row r's follow its diagonal
+    # entry, at flat index r (m + 1), found with // alone, as numpy's %
+    # by a scalar is about 4x slower
+    cand = hits[hits // m * (m + 1) < hits]
+    return *divmod(int(cand[rng.integers(cand.size)]), m), True
 
 
 def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool]:
@@ -172,10 +178,10 @@ def _draw_tied(counts: np.ndarray, rng) -> tuple[int, int, bool]:
     generator called only when more than one pair ties. Returns the slot
     holding it, its rank among that slot's pairs and whether the
     generator was called."""
-    cum = np.cumsum(counts)
+    cum = counts.cumsum()
     total = int(cum[-1])
     r = int(rng.integers(total)) if total > 1 else 0
-    a = int(np.searchsorted(cum, r, side="right"))
+    a = int(cum.searchsorted(r, side="right"))
     return a, r - int(cum[a] - counts[a]), total > 1
 
 
@@ -224,7 +230,7 @@ class _MinCache:
         if thr != self.thr:
             self.thr = thr
             ties[:] = 0
-            rows = np.flatnonzero(rowmin <= thr)
+            rows = (rowmin <= thr).nonzero()[0]
             # in blocks of rows: with dense ties every row can qualify,
             # and one gather would copy the whole matrix
             for start in range(0, rows.size, ROW_BLOCK):
@@ -233,7 +239,7 @@ class _MinCache:
                 near &= np.arange(m) > block[:, None]
                 ties[block] = np.count_nonzero(near, axis=1)
         a, r, drew = _draw_tied(ties, rng)
-        b = a + 1 + int(np.flatnonzero(crit[a, a + 1 : m] <= thr)[r])
+        b = a + 1 + int((crit[a, a + 1 : m] <= thr).nonzero()[0][r])
         return a, b, drew
 
     def move(self, i: int, j: int, m: int, row: np.ndarray) -> None:
@@ -248,7 +254,9 @@ class _MinCache:
         _untie(ties, j, last, cj[:j] <= thr, crit[last, j + 1 : last] <= thr)
         rowmin = self.rowmin[:m]
         # the rows whose minimum may have risen, and the two rewritten slots
-        fresh = np.append(np.flatnonzero((np.minimum(ci, cj) <= rowmin) & (row > rowmin)), (i, j))
+        stale = (np.minimum(ci, cj) <= rowmin) & (row > rowmin)
+        stale[i] = stale[j] = True
+        fresh = stale.nonzero()[0]
         np.minimum(rowmin, row, out=rowmin)
         _move(crit, i, j, m, row)
         self.rowmin[fresh] = crit[fresh, :last].min(axis=1)
@@ -345,7 +353,7 @@ def _replay_duplicates(state: _State, labels: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(labels, kind="stable")
     ranked = labels[order]
     later = np.empty(n, dtype=np.intp)
-    later[order] = np.searchsorted(ranked, ranked, side="right") - np.arange(n) - 1
+    later[order] = ranked.searchsorted(ranked, side="right") - np.arange(n) - 1
 
     slot = labels.copy()
     stop = max(np.count_nonzero(labels == np.arange(n)), k)

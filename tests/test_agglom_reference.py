@@ -371,6 +371,27 @@ def test_ties_within_1e9_of_the_minimum_and_not_beyond(cache_above, monkeypatch)
     assert first == {(0, 1), (2, 3)}
 
 
+def noisy_grid_points(seed, n=400, dim=6):
+    """n distinct points of the integer grid {0, 1, 2}^dim, each
+    coordinate moved by uniform noise within 1e-12: their Ward criteria
+    tie within TIE_TOL without being equal."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(3**dim, size=n, replace=False)
+    grid = cells[:, None] // 3 ** np.arange(dim) % 3
+    return grid + rng.uniform(-1e-12, 1e-12, size=grid.shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_inexact_ties_through_the_cached_pick(seed):
+    """The cached pick, in use from 400 clusters down to CACHE_ABOVE,
+    draws among pairs that tie within TIE_TOL but differ in their last
+    bits, as the reference scan does."""
+    points = noisy_grid_points(seed)
+    got = agglom.ward(points, 2, seed)
+    assert got.ties_drawn > 0
+    assert_identical(got, reference.ward(points, 2, seed))
+
+
 class TestWardPointsBound:
     """Ward takes points while n^2 dim (2 max|x|)^2 is below the largest
     float64, so that no criterion it computes can overflow."""

@@ -46,8 +46,9 @@ def test_writes_and_checks_the_stage_file(stages, tmp_path, demo_stub):
     assert sorted(size["sets"]) == ["A", "B", "C"]
     for row in size["sets"].values():
         assert 1 <= row["distinct_rows"] <= 24
-        for stage in ("dissim", "mcquitty", "ward", "em"):
-            assert row[f"{stage}_s"] >= 0
+        for key in ("dissim_s", "mcquitty_s", "ward_s", "em_s", "em_iter_us"):
+            low, high = row[f"{key}_q"]
+            assert 0 <= low <= row[key] <= high
         assert row["em_iterations"] == stages.EM_ITERATIONS
         assert row["em_iter_us"] > 0
         for method in ("mcquitty", "ward", "em"):
@@ -142,3 +143,20 @@ def test_demo_run_matches_the_recorded_digests(stages):
     wall_s, problems = stages.run_demo(1)
     assert wall_s > 0
     assert problems == []
+
+
+def test_timed_warms_up_then_reports_quartiles(stages):
+    calls = []
+    quartiles, result = stages.timed(3, lambda: calls.append(None) or len(calls))
+    assert len(calls) == 4 and result == 4
+    assert quartiles[0] <= quartiles[1] <= quartiles[2]
+    quartiles, _ = stages.timed(1, lambda: None)
+    assert quartiles[0] == quartiles[1] == quartiles[2]
+
+
+def test_quartiles_stay_within_the_times_seen(stages, monkeypatch):
+    # 1 s and 9 s: exclusive quartiles would put the first below 0
+    clock = iter([0.0, 1.0, 1.0, 10.0])
+    monkeypatch.setattr(stages.time, "perf_counter", lambda: next(clock))
+    quartiles, _ = stages.timed(2, lambda: None)
+    assert quartiles == (3.0, 5.0, 7.0)

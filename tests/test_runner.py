@@ -16,6 +16,7 @@ from sensecluster.evaluate import (
     confusion_from_labels,
     format_confusion,
     majority_classifier,
+    t_test,
 )
 from sensecluster.features import build_schema, extract
 from sensecluster.runner import ExperimentConfig, load_config, run, trial_seed
@@ -476,6 +477,27 @@ class TestRun:
         # every word row marks at least its best experiment
         assert all("*" in line for line in table if line.split()[0] in ("alpha", "beta"))
         assert lines[-1].startswith("*")
+
+    def test_summary_marks_a_cell_below_the_best_at_p_between_01_and_05(self, tmp_path):
+        # the star's test is at p = .01, as the summary's footnote says:
+        # at alpha .05 the mcquitty cell here, below em, would lose its mark
+        sample = synth_sample("alpha", "noun", ("one", "two", "three"), n=24, seed=2)
+        save_corpus(sample, tmp_path / "a.jsonl")
+        outdir = tmp_path / "out"
+        config = make_config(
+            {"alpha": str(tmp_path / "a.jsonl")}, outdir,
+            feature_sets=("B",), algorithms=("mcquitty", "em"), trials=8, em_max_iter=50,
+        )
+        assert run(config) == 0
+        accuracies = {"mcquitty": [], "em": []}
+        for row in (outdir / "results.csv").read_text().split()[1:]:
+            fields = row.split(",")
+            accuracies[fields[2]].append(float(fields[5]))
+        assert np.mean(accuracies["mcquitty"]) < np.mean(accuracies["em"])
+        assert 0.01 < t_test(accuracies["em"], accuracies["mcquitty"]).p < 0.05
+        lines = (outdir / "summary.txt").read_text().split("\n")
+        cells = lines[1].split()
+        assert cells[0] == "alpha" and cells[2].endswith("*") and cells[3].endswith("*")
 
     def test_summary_rollups_with_partial_columns(self, corpus_dir, tmp_path, monkeypatch):
         base, _ = corpus_dir
